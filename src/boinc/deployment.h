@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "common/rng.h"
 #include "dca/assignment.h"
 #include "dca/metrics.h"
+#include "dca/task_ledger.h"
 #include "dca/workload.h"
 #include "obs/timeseries.h"
 #include "redundancy/strategy.h"
@@ -94,39 +94,18 @@ class Deployment {
   /// The value the project accepted for `task`, or nullopt if the task was
   /// aborted. Only valid after run().
   [[nodiscard]] std::optional<redundancy::ResultValue> accepted_value(
-      std::uint64_t task) const;
+      std::uint64_t task) const {
+    return ledger_.accepted_value(task);
+  }
 
  private:
-  struct TaskState {
-    /// Non-owning; the deployment-wide shared instance for stateless()
-    /// factories, else the per-task engine in owned_strategy (tasks are all
-    /// in flight at once, so sharing needs statelessness). Null once
-    /// decided.
-    redundancy::RedundancyStrategy* strategy = nullptr;
-    std::unique_ptr<redundancy::RedundancyStrategy> owned_strategy;
-    std::vector<redundancy::Vote> votes;
-    int outstanding = 0;
-    int ordinals = 0;  ///< assignments ever made (encoder dispatch ordinals)
-    int waves = 0;
-    int jobs_started = 0;
-    bool started = false;
-    bool decided = false;
-    bool aborted = false;
-    sim::Time first_dispatch = 0.0;
-    sim::Time wave_started = 0.0;  ///< when the latest wave was enqueued
-    redundancy::ResultValue accepted = 0;  ///< valid when decided && !aborted
-    /// Clients that already received a job of this task (BOINC's
-    /// one-result-per-user rule).
-    std::unordered_set<redundancy::NodeId> served;
-    /// Assignment instances whose report is still awaited.
-    std::unordered_set<std::uint64_t> live_jobs;
-  };
-
   [[nodiscard]] double latency();
+  /// Queues the jobs of a wave the ledger opened; no-op for 0.
   void enqueue_wave(std::uint64_t task, int jobs);
   void client_request_work(redundancy::NodeId client);
   void server_handle_request(redundancy::NodeId client);
-  void assign(redundancy::NodeId client, std::uint64_t task);
+  /// Hands the client a job of the task it was admitted for.
+  void assign(redundancy::NodeId client, const dca::AssignContext& context);
   /// `ordinal` is the assignment's dispatch ordinal within its task: under
   /// an encoding strategy it fixes which piece the client computes and
   /// which piece index the resulting vote carries.
@@ -135,53 +114,27 @@ class Deployment {
   void server_handle_result(redundancy::NodeId client, std::uint64_t task,
                             std::uint64_t job_id, int ordinal,
                             redundancy::ResultValue value);
-  /// Surfaces a decision's decode-verify rejections (coded strategies)
-  /// through the metrics counter and the trace. No-op when zero.
-  void record_decode_rejects(std::uint64_t task,
-                             const redundancy::Decision& decision);
   void deadline_check(std::uint64_t task, std::uint64_t job_id);
-  void consult_strategy(std::uint64_t task);
-  void finish_task(std::uint64_t task, redundancy::ResultValue accepted);
-  void abort_task(std::uint64_t task);
-  void record_task_metrics(const TaskState& state);
-  /// Records one project-health sample and re-arms the sampling timer
-  /// while tasks remain undecided. No-op without a configured recorder.
-  void sample_health();
-  void schedule_sampling();
-  /// Cancels the pending sampling timer when the last task settles —
-  /// makespan here is the simulator's final time, so a trailing sample
-  /// event must never extend it.
-  void stop_sampling();
 
   sim::Simulator& simulator_;
   BoincConfig config_;
   std::vector<ClientProfile> profiles_;
-  const redundancy::StrategyFactory& factory_;
-  /// Cached from the factory: the task encoder (null for plain
-  /// replication) and whether decide() wants a peek after every report
-  /// instead of only at wave boundaries.
-  const redundancy::TaskEncoder* encoder_ = nullptr;
-  bool eager_ = false;
-  /// One decision engine for all tasks when the factory is stateless
-  /// (avoids a per-task allocation); null for stateful factories.
-  std::unique_ptr<redundancy::RedundancyStrategy> shared_strategy_;
-  /// The assignment policy in force: config-supplied, or owned_policy_
-  /// built from the spec (uniform admit-all by default).
-  dca::AssignmentPolicy* policy_ = nullptr;
-  std::unique_ptr<dca::AssignmentPolicy> owned_policy_;
   const dca::Workload& workload_;
+  dca::RunMetrics metrics_;
+  /// Per-task state, decisions and the assignment policy in force.
+  dca::TaskLedger ledger_;
 
   std::deque<std::uint64_t> job_queue_;  ///< task ids awaiting assignment
-  std::vector<TaskState> tasks_;
-  std::uint64_t undecided_ = 0;
+  /// Per task, the clients that already received one of its jobs (BOINC's
+  /// one-result-per-user rule).
+  std::vector<std::unordered_set<redundancy::NodeId>> served_;
+  /// Assignment instances (of any task) whose report is still awaited.
+  std::unordered_set<std::uint64_t> live_jobs_;
   std::uint64_t next_job_id_ = 0;
-  sim::EventId sample_event_{};  ///< pending health-sample timer
 
   rng::Stream rng_network_;
   rng::Stream rng_compute_;
   rng::Stream rng_fault_;
-
-  dca::RunMetrics metrics_;
 };
 
 }  // namespace smartred::boinc

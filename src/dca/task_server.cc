@@ -14,10 +14,11 @@ TaskServer::TaskServer(sim::Simulator& simulator, const DcaConfig& config,
                        fault::FailureModel& failures)
     : simulator_(simulator),
       config_(config),
-      factory_(factory),
       workload_(workload),
       failures_(failures),
       pool_(config.nodes),
+      ledger_(simulator, factory, workload, metrics_, config.max_jobs_per_task,
+              config.assignment, config.assignment_spec, config.profile),
       rng_assign_(rng::Stream(config.seed).fork("assign")),
       rng_duration_(rng::Stream(config.seed).fork("duration")),
       rng_fault_(rng::Stream(config.seed).fork("fault")),
@@ -33,7 +34,6 @@ TaskServer::TaskServer(sim::Simulator& simulator, const DcaConfig& config,
   SMARTRED_EXPECT(config.churn.leave_rate <= 0.0 || config.timeout > 0.0,
                   "churn can lose jobs and requires a positive re-issue "
                   "timeout");
-  SMARTRED_EXPECT(config.max_jobs_per_task > 0, "job cap must be positive");
   SMARTRED_EXPECT(!config.speculation.enabled || config.timeout > 0.0,
                   "speculation needs a deadline: set a positive timeout "
                   "(the adaptive estimator's fallback)");
@@ -60,66 +60,49 @@ TaskServer::TaskServer(sim::Simulator& simulator, const DcaConfig& config,
   }
   SMARTRED_EXPECT(config.timeseries == nullptr || config.sample_interval > 0.0,
                   "health sampling needs a positive sample interval");
-  encoder_ = factory.encoder();
-  eager_ = factory.eager();
-  if (config.assignment != nullptr) {
-    policy_ = config.assignment;
-  } else {
-    owned_policy_ = make_policy(
-        config.assignment_spec.empty() ? "uniform" : config.assignment_spec);
-    policy_ = owned_policy_.get();
-  }
-  policy_->reset();
-  policy_->bind(pool_);
+  ledger_.policy().bind(pool_);
 }
 
 const RunMetrics& TaskServer::run() {
   const std::uint64_t task_count = workload_.task_count();
-  tasks_.resize(task_count);
-  undecided_ = task_count;
-  metrics_.tasks_total = task_count;
-
-  if (obs::Recorder* const rec = simulator_.recorder()) {
-    rec->record(obs::TraceEvent{
-        .time = simulator_.now(),
-        .arg = static_cast<std::int64_t>(policy_->kind()),
-        .kind = obs::EventKind::kPolicyChosen,
-    });
-  }
-  if (factory_.stateless()) shared_strategy_ = factory_.make();
+  ledger_.open(task_count);
   for (std::uint64_t task = 0; task < task_count; ++task) {
-    TaskState& state = tasks_[task];
-    if (shared_strategy_ != nullptr) {
-      state.strategy = shared_strategy_.get();
-    } else {
-      state.owned_strategy = factory_.make();
-      state.strategy = state.owned_strategy.get();
-    }
-    consult_strategy(task);
+    enqueue_wave(task, ledger_.start(task));
   }
   assign_available();
   schedule_churn_join();
   schedule_churn_leave();
-  sample_health();  // the t=0 baseline; re-arms itself while tasks remain
+  ledger_.sample_health(
+      config_.timeseries, config_.sample_interval,
+      [this](obs::TimeSeriesRecorder& recorder, double now) {
+        recorder.sample("live_nodes", now,
+                        static_cast<double>(pool_.live_count()));
+        recorder.sample("idle_nodes", now,
+                        static_cast<double>(pool_.idle_count()));
+        recorder.sample("busy_nodes", now,
+                        static_cast<double>(pool_.busy_count()));
+        recorder.sample("quarantined_nodes", now,
+                        static_cast<double>(pool_.quarantined_count()));
+        recorder.sample("queue_depth", now,
+                        static_cast<double>(job_queue_.size()));
+        recorder.sample("inflight_jobs", now,
+                        static_cast<double>(inflight_.size()));
+      });
   simulator_.run();
 
   // If churn drained the pool with no joins configured, the queue can
   // starve; surface the stuck tasks as aborted rather than hanging.
   for (std::uint64_t task = 0; task < task_count; ++task) {
-    if (!tasks_[task].decided) abort_task(task, /*budget_exhausted=*/false);
+    if (!ledger_.state(task).decided) {
+      ledger_.abort(task, /*budget_exhausted=*/false);
+    }
   }
-  SMARTRED_ENSURE(undecided_ == 0, "all tasks must be resolved");
-  metrics_.jobs_unrun = job_queue_.size();
-  SMARTRED_ENSURE(metrics_.jobs_conserved(),
-                  "every dispatched job must reach a terminal state");
-  if (task_count == 0) metrics_.makespan = simulator_.now();
-  return metrics_;
+  return ledger_.close(job_queue_.size());
 }
 
 void TaskServer::enqueue_copy(std::uint64_t job, std::uint64_t task,
                               double carried_work, bool prioritized) {
-  ++tasks_[task].jobs_started;
-  ++metrics_.jobs_dispatched;
+  ledger_.count_dispatch(task);
   if (prioritized && config_.queue_policy == QueuePolicy::kStartedTasksFirst) {
     job_queue_.push_front(QueuedJob{job, task, carried_work});
   } else {
@@ -128,28 +111,16 @@ void TaskServer::enqueue_copy(std::uint64_t job, std::uint64_t task,
 }
 
 void TaskServer::enqueue_wave(std::uint64_t task, int jobs) {
+  if (jobs == 0) return;  // the consultation settled the task instead
   const obs::ScopedPhase scope(config_.profile, obs::Phase::kDispatch);
-  TaskState& state = tasks_[task];
-  state.outstanding += jobs;
-  ++state.waves;
-  state.wave_started = simulator_.now();
-  if (obs::Recorder* const rec = simulator_.recorder()) {
-    rec->record(obs::TraceEvent{
-        .time = simulator_.now(),
-        .task = task,
-        .arg = jobs,
-        .wave = static_cast<std::uint32_t>(state.waves),
-        .kind = obs::EventKind::kWaveDispatched,
-    });
-  }
   // Top-up waves (everything past the first) jump the queue under the
   // started-tasks-first policy.
-  const bool prioritized = state.waves > 1;
+  const bool prioritized = ledger_.state(task).waves > 1;
   for (int j = 0; j < jobs; ++j) {
     const std::uint64_t job = next_job_id_++;
     LogicalJob logical;
     logical.task = task;
-    logical.ordinal = state.ordinals++;
+    logical.ordinal = ledger_.next_ordinal(task);
     logical.copies = 1;
     jobs_.emplace(job, logical);
     enqueue_copy(job, task, /*carried_work=*/-1.0, prioritized);
@@ -163,7 +134,7 @@ void TaskServer::assign_available() {
   // excluded from later selections whether or not its copy later turns
   // out silent, which keeps the idle set at each draw identical to the
   // scalar trajectory (the uniform policy makes the same single
-  // idle-index draw acquire_random made). A policy may decline a copy
+  // idle-index draw as the scalar loop). A policy may decline a copy
   // (nullopt); it stays queued and the walk moves on, which is why this
   // iterates instead of popping the front.
   staged_.clear();
@@ -171,25 +142,17 @@ void TaskServer::assign_available() {
   while (pending != job_queue_.end() && pool_.idle_count() > 0) {
     const AssignContext context{
         pending->task,
-        static_cast<std::uint32_t>(tasks_[pending->task].waves),
+        static_cast<std::uint32_t>(ledger_.state(pending->task).waves),
         pool_.live_count()};
-    const auto node = policy_->select(context, pool_, rng_assign_);
+    const auto node = ledger_.policy().select(context, pool_, rng_assign_);
     if (!node.has_value()) {
       ++pending;  // declined; retried on the next assignment pass
       continue;
     }
     pool_.acquire(*node);
-    policy_->on_dispatch(*node, context);
-    if (obs::Recorder* const rec = simulator_.recorder()) {
-      rec->record(obs::TraceEvent{
-          .time = simulator_.now(),
-          .task = context.task,
-          .arg = static_cast<std::int64_t>(pending->job),
-          .node = *node,
-          .wave = context.wave,
-          .kind = obs::EventKind::kNodeAssigned,
-      });
-    }
+    ledger_.policy().on_dispatch(*node, context);
+    ledger_.trace(obs::EventKind::kNodeAssigned, context.task,
+                  static_cast<std::int64_t>(pending->job), *node);
     staged_.push_back(StagedCopy{*pending, *node});
     pending = job_queue_.erase(pending);
   }
@@ -212,11 +175,7 @@ void TaskServer::dispatch_staged() {
   // are rare and interleave with quarantine side effects).
   for (StagedCopy& copy : staged_) {
     const std::uint64_t task = copy.job.task;
-    TaskState& state = tasks_[task];
-    if (!state.started) {
-      state.started = true;
-      state.first_dispatch = simulator_.now();
-    }
+    ledger_.mark_started(task);
     copy.deadline = effective_deadline(task);
     if (deadline_.has_value()) metrics_.deadline_estimate.add(copy.deadline);
     copy.silent =
@@ -231,21 +190,14 @@ void TaskServer::dispatch_staged() {
       quarantine_node(copy.node);
     } else {
       pool_.leave(copy.node);
-      policy_->on_leave(copy.node);
+      ledger_.policy().on_leave(copy.node);
     }
     const std::uint64_t job_id = copy.job.job;
     const redundancy::NodeId node = copy.node;
     simulator_.schedule(copy.deadline, [this, job_id, task, node] {
       ++metrics_.jobs_timed_out;
-      if (obs::Recorder* const rec = simulator_.recorder()) {
-        rec->record(obs::TraceEvent{
-            .time = simulator_.now(),
-            .task = task,
-            .arg = static_cast<std::int64_t>(job_id),
-            .node = node,
-            .kind = obs::EventKind::kDeadlineFired,
-        });
-      }
+      ledger_.trace(obs::EventKind::kDeadlineFired, task,
+                    static_cast<std::int64_t>(job_id), node);
       copy_lost(job_id, -1.0);
     });
   }
@@ -338,33 +290,20 @@ void TaskServer::speculate(std::uint64_t job) {
   if (found == jobs_.end()) return;  // settled and cleaned up meanwhile
   LogicalJob& logical = found->second;
   logical.spec_armed = false;
-  TaskState& state = tasks_[logical.task];
-  if (logical.resolved || state.decided) return;
+  if (logical.resolved || ledger_.state(logical.task).decided) return;
   // The copy is past its deadline and still running: back it up with a
   // speculative copy on a fresh node. The original keeps running — the
   // first finisher casts the vote, the loser is discarded.
   ++metrics_.jobs_timed_out;
-  if (obs::Recorder* const rec = simulator_.recorder()) {
-    rec->record(obs::TraceEvent{
-        .time = simulator_.now(),
-        .task = logical.task,
-        .arg = static_cast<std::int64_t>(job),
-        .kind = obs::EventKind::kDeadlineFired,
-    });
-  }
-  if (state.jobs_started >= config_.max_jobs_per_task) return;
+  ledger_.trace(obs::EventKind::kDeadlineFired, logical.task,
+                static_cast<std::int64_t>(job));
+  if (ledger_.at_job_cap(logical.task)) return;
   ++logical.speculative;
   ++logical.copies;
   ++metrics_.jobs_speculative;
   enqueue_copy(job, logical.task, /*carried_work=*/-1.0, /*prioritized=*/true);
-  if (obs::Recorder* const rec = simulator_.recorder()) {
-    rec->record(obs::TraceEvent{
-        .time = simulator_.now(),
-        .task = logical.task,
-        .arg = static_cast<std::int64_t>(job),
-        .kind = obs::EventKind::kSpeculationLaunched,
-    });
-  }
+  ledger_.trace(obs::EventKind::kSpeculationLaunched, logical.task,
+                static_cast<std::int64_t>(job));
   assign_available();
 }
 
@@ -381,16 +320,9 @@ void TaskServer::judge_completion(redundancy::NodeId node, bool late) {
 
 void TaskServer::quarantine_node(redundancy::NodeId node) {
   const int round = pool_.quarantine(node);
-  policy_->on_quarantine(node);
+  ledger_.policy().on_quarantine(node);
   ++metrics_.nodes_quarantined;
-  if (obs::Recorder* const rec = simulator_.recorder()) {
-    rec->record(obs::TraceEvent{
-        .time = simulator_.now(),
-        .arg = round,
-        .node = node,
-        .kind = obs::EventKind::kNodeQuarantined,
-    });
-  }
+  ledger_.trace(obs::EventKind::kNodeQuarantined, 0, round, node);
   const double backoff =
       std::min(config_.quarantine.backoff_cap,
                config_.quarantine.backoff_base *
@@ -398,16 +330,9 @@ void TaskServer::quarantine_node(redundancy::NodeId node) {
                             static_cast<double>(round - 1)));
   simulator_.schedule(backoff, [this, node, round] {
     if (pool_.readmit(node)) {
-      policy_->on_readmit(node);
+      ledger_.policy().on_readmit(node);
       ++metrics_.nodes_readmitted;
-      if (obs::Recorder* const rec = simulator_.recorder()) {
-        rec->record(obs::TraceEvent{
-            .time = simulator_.now(),
-            .arg = round,
-            .node = node,
-            .kind = obs::EventKind::kNodeReadmitted,
-        });
-      }
+      ledger_.trace(obs::EventKind::kNodeReadmitted, 0, round, node);
       assign_available();
     }
   });
@@ -426,7 +351,6 @@ void TaskServer::complete_job(std::uint64_t job, redundancy::NodeId node) {
   LogicalJob& logical = job_it->second;
   --logical.copies;
   const std::uint64_t task = logical.task;
-  TaskState& state = tasks_[task];
   const double elapsed = simulator_.now() - flight.started;
   if (deadline_.has_value()) {
     deadline_->observe(workload_.job_work(task), elapsed);
@@ -435,9 +359,9 @@ void TaskServer::complete_job(std::uint64_t job, redundancy::NodeId node) {
   // on_complete (the node is idle again) before judge_completion, which
   // may immediately quarantine it — the on_quarantine hook then retracts
   // it from the policy's idle mirror.
-  policy_->on_complete(node, !late);
+  ledger_.policy().on_complete(node, !late);
   judge_completion(node, late);
-  if (state.decided || logical.resolved) {
+  if (ledger_.state(task).decided || logical.resolved) {
     // This copy outlived its purpose: the task settled without it, or a
     // sibling copy won the race. The vote is discarded but the node is
     // back in the pool.
@@ -446,66 +370,18 @@ void TaskServer::complete_job(std::uint64_t job, redundancy::NodeId node) {
     assign_available();
     return;
   }
-  ++metrics_.jobs_completed;
-  // Under an encoding strategy the node computed one piece, not the whole
-  // task: the correct report is the ordinal's piece value, and the vote is
-  // stamped with the piece index (assigned at dispatch, so a Byzantine
-  // value cannot migrate between pieces).
-  redundancy::ResultValue correct = workload_.correct_value(task);
-  std::int32_t piece = 0;
-  if (encoder_ != nullptr) {
-    piece = encoder_->piece_of(logical.ordinal);
-    correct = encoder_->job_value(correct, logical.ordinal);
-  }
+  const int ordinal = logical.ordinal;
+  const redundancy::ResultValue expected =
+      ledger_.expected_value(task, ordinal);
   const redundancy::ResultValue value =
-      failures_.report(node, task, correct, rng_fault_);
-  if (value == correct) ++metrics_.jobs_correct;
-  state.votes.push_back(redundancy::Vote{node, value, piece});
-  if (obs::Recorder* const rec = simulator_.recorder()) {
-    rec->record(obs::TraceEvent{
-        .time = simulator_.now(),
-        .task = task,
-        .arg = value,
-        .node = node,
-        .wave = static_cast<std::uint32_t>(state.waves),
-        .kind = obs::EventKind::kVoteRecorded,
-    });
-  }
+      failures_.report(node, task, expected, rng_fault_);
   logical.resolved = true;
   if (logical.spec_armed) {
     simulator_.cancel(logical.spec_timer);
     logical.spec_armed = false;
   }
   if (logical.copies == 0) jobs_.erase(job_it);
-  --state.outstanding;
-  if (state.outstanding == 0) {
-    // The wave is complete: every logical job the strategy asked for has
-    // voted. Wave latency runs from the wave's enqueue to this last vote.
-    const double latency = simulator_.now() - state.wave_started;
-    metrics_.wave_latency.add(latency);
-    metrics_.wave_latency_hist.add(latency);
-    consult_strategy(task);
-  } else if (eager_) {
-    // Mid-wave peek: an accept settles the task on the k-th fastest vote
-    // instead of the wave's slowest (the coded straggler win); a dispatch
-    // answer is ignored until the wave drains. Leftover copies complete as
-    // discarded through the state.decided path above.
-    const redundancy::Decision decision = state.strategy->decide(state.votes);
-    record_decode_rejects(task, decision);
-    if (decision.done()) {
-      if (obs::Recorder* const rec = simulator_.recorder()) {
-        rec->record(obs::TraceEvent{
-            .time = simulator_.now(),
-            .task = task,
-            .arg = decision.value,
-            .wave = static_cast<std::uint32_t>(state.waves),
-            .kind = obs::EventKind::kDecision,
-            .reason = static_cast<std::uint8_t>(decision.reason),
-        });
-      }
-      finish_task(task, decision.value);
-    }
-  }
+  enqueue_wave(task, ledger_.record_vote(task, ordinal, node, value, expected));
   assign_available();
 }
 
@@ -515,13 +391,12 @@ void TaskServer::copy_lost(std::uint64_t job, double carried_work) {
   LogicalJob& logical = job_it->second;
   --logical.copies;
   ++metrics_.jobs_lost;
-  TaskState& state = tasks_[logical.task];
-  if (state.decided || logical.resolved) {
+  if (ledger_.state(logical.task).decided || logical.resolved) {
     if (logical.copies == 0) jobs_.erase(job_it);
     return;
   }
-  if (state.jobs_started >= config_.max_jobs_per_task) {
-    abort_task(logical.task);
+  if (ledger_.at_job_cap(logical.task)) {
+    ledger_.abort(logical.task);
     if (logical.copies == 0) jobs_.erase(job_it);
     return;
   }
@@ -535,177 +410,13 @@ void TaskServer::copy_lost(std::uint64_t job, double carried_work) {
   assign_available();
 }
 
-void TaskServer::record_decode_rejects(std::uint64_t task,
-                                       const redundancy::Decision& decision) {
-  if (decision.decode_rejects <= 0) return;
-  metrics_.decodes_rejected +=
-      static_cast<std::uint64_t>(decision.decode_rejects);
-  if (obs::Recorder* const rec = simulator_.recorder()) {
-    rec->record(obs::TraceEvent{
-        .time = simulator_.now(),
-        .task = task,
-        .arg = decision.decode_rejects,
-        .wave = static_cast<std::uint32_t>(tasks_[task].waves),
-        .kind = obs::EventKind::kDecodeRejected,
-    });
-  }
-}
-
-void TaskServer::consult_strategy(std::uint64_t task) {
-  const obs::ScopedPhase scope(config_.profile, obs::Phase::kDecide);
-  TaskState& state = tasks_[task];
-  const redundancy::Decision decision = state.strategy->decide(state.votes);
-  record_decode_rejects(task, decision);
-  if (decision.done()) {
-    if (obs::Recorder* const rec = simulator_.recorder()) {
-      rec->record(obs::TraceEvent{
-          .time = simulator_.now(),
-          .task = task,
-          .arg = decision.value,
-          .wave = static_cast<std::uint32_t>(state.waves),
-          .kind = obs::EventKind::kDecision,
-          .reason = static_cast<std::uint8_t>(decision.reason),
-      });
-    }
-    finish_task(task, decision.value);
-    return;
-  }
-  if (state.jobs_started + decision.jobs > config_.max_jobs_per_task) {
-    abort_task(task);
-    return;
-  }
-  enqueue_wave(task, decision.jobs);
-}
-
-std::optional<redundancy::ResultValue> TaskServer::accepted_value(
-    std::uint64_t task) const {
-  SMARTRED_EXPECT(task < tasks_.size(), "task index out of range");
-  const TaskState& state = tasks_[task];
-  SMARTRED_EXPECT(state.decided, "accepted_value() before run() completed");
-  if (state.aborted) return std::nullopt;
-  return state.accepted;
-}
-
-void TaskServer::finish_task(std::uint64_t task,
-                             redundancy::ResultValue accepted) {
-  TaskState& state = tasks_[task];
-  state.decided = true;
-  state.accepted = accepted;
-  --undecided_;
-  if (accepted == workload_.correct_value(task)) ++metrics_.tasks_correct;
-  // Under an encoding strategy votes are piece values, so agreement with
-  // the accepted task value carries no reliability signal — the learning
-  // hook only fires for plain replication.
-  if (encoder_ == nullptr) policy_->on_task_decided(state.votes, accepted);
-  policy_->on_task_settled(task);
-  record_task_metrics(state);
-  if (state.started) {
-    const double response = simulator_.now() - state.first_dispatch;
-    metrics_.response_time.add(response);
-    metrics_.response_time_hist.add(response);
-  }
-  // The last decision marks the end of useful work; trailing events
-  // (discarded stragglers, quarantine re-admissions) do not extend it.
-  if (undecided_ == 0) {
-    metrics_.makespan = simulator_.now();
-    stop_sampling();
-  }
-  state.strategy = nullptr;
-  state.owned_strategy.reset();
-  state.votes.clear();
-  state.votes.shrink_to_fit();
-}
-
-void TaskServer::abort_task(std::uint64_t task, bool budget_exhausted) {
-  TaskState& state = tasks_[task];
-  SMARTRED_EXPECT(!state.decided, "abort of an already decided task");
-  state.decided = true;
-  state.aborted = true;
-  --undecided_;
-  policy_->on_task_settled(task);
-  ++metrics_.tasks_aborted;
-  if (!budget_exhausted) ++metrics_.tasks_abandoned;
-  if (obs::Recorder* const rec = simulator_.recorder()) {
-    rec->record(obs::TraceEvent{
-        .time = simulator_.now(),
-        .task = task,
-        .arg = state.jobs_started,
-        .wave = static_cast<std::uint32_t>(state.waves),
-        .kind = obs::EventKind::kTaskAborted,
-        .reason = static_cast<std::uint8_t>(
-            budget_exhausted ? redundancy::Decision::Reason::kBudgetExhausted
-                             : redundancy::Decision::Reason::kAbandoned),
-    });
-  }
-  record_task_metrics(state);
-  if (undecided_ == 0) {
-    metrics_.makespan = simulator_.now();
-    stop_sampling();
-  }
-  state.strategy = nullptr;
-  state.owned_strategy.reset();
-  state.votes.clear();
-  state.votes.shrink_to_fit();
-}
-
-void TaskServer::record_task_metrics(const TaskState& state) {
-  metrics_.max_jobs_single_task =
-      std::max(metrics_.max_jobs_single_task, state.jobs_started);
-  metrics_.jobs_per_task.add(static_cast<double>(state.jobs_started));
-  metrics_.waves_per_task.add(static_cast<double>(state.waves));
-  metrics_.jobs_per_task_hist.add(static_cast<double>(state.jobs_started));
-}
-
-void TaskServer::sample_health() {
-  obs::TimeSeriesRecorder* const recorder = config_.timeseries;
-  if (recorder == nullptr) return;
-  {
-    const obs::ScopedPhase scope(config_.profile, obs::Phase::kSample);
-    const double now = simulator_.now();
-    // Pure reads of pool/queue/metric state: sampling can never perturb
-    // the run (no RNG draws, no state writes), which is what lets a
-    // sampled run reproduce the pinned aggregates bit-for-bit.
-    recorder->sample("live_nodes", now,
-                     static_cast<double>(pool_.live_count()));
-    recorder->sample("idle_nodes", now,
-                     static_cast<double>(pool_.idle_count()));
-    recorder->sample("busy_nodes", now,
-                     static_cast<double>(pool_.busy_count()));
-    recorder->sample("quarantined_nodes", now,
-                     static_cast<double>(pool_.quarantined_count()));
-    recorder->sample("queue_depth", now,
-                     static_cast<double>(job_queue_.size()));
-    recorder->sample("inflight_jobs", now,
-                     static_cast<double>(inflight_.size()));
-    recorder->sample("undecided_tasks", now,
-                     static_cast<double>(undecided_));
-    if (metrics_.jobs_completed > 0) {
-      recorder->sample("est_node_reliability", now,
-                       metrics_.empirical_node_reliability());
-    }
-  }
-  schedule_sampling();
-}
-
-void TaskServer::schedule_sampling() {
-  if (config_.timeseries == nullptr || undecided_ == 0) return;
-  sample_event_ = simulator_.schedule(config_.sample_interval,
-                                      [this] { sample_health(); });
-}
-
-void TaskServer::stop_sampling() {
-  if (config_.timeseries == nullptr) return;
-  simulator_.cancel(sample_event_);
-  sample_event_ = sim::EventId{};
-}
-
 void TaskServer::schedule_churn_join() {
   if (config_.churn.join_rate <= 0.0) return;
   simulator_.schedule(rng_churn_.exponential(1.0 / config_.churn.join_rate),
                       [this] {
-                        if (undecided_ == 0) return;
+                        if (ledger_.undecided() == 0) return;
                         const redundancy::NodeId id = pool_.join();
-                        policy_->on_join(id);
+                        ledger_.policy().on_join(id);
                         ++metrics_.nodes_joined;
                         assign_available();
                         schedule_churn_join();
@@ -716,7 +427,7 @@ void TaskServer::schedule_churn_leave() {
   if (config_.churn.leave_rate <= 0.0) return;
   simulator_.schedule(rng_churn_.exponential(1.0 / config_.churn.leave_rate),
                       [this] {
-                        if (undecided_ == 0) return;
+                        if (ledger_.undecided() == 0) return;
                         // A drained pool with no joins configured can never
                         // recover; keeping the leave timer alive would spin
                         // the simulation forever. Stop it — run() will
@@ -735,7 +446,7 @@ void TaskServer::churn_leave() {
   if (!victim.has_value()) return;
   ++metrics_.nodes_left;
   const bool was_busy = pool_.leave(*victim);
-  policy_->on_leave(*victim);
+  ledger_.policy().on_leave(*victim);
   if (!was_busy) {
     // The departed node was idle or quarantined. A declining policy may
     // have been waiting on exactly this group/tier composition, so give

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "dca/deadline.h"
 #include "dca/metrics.h"
 #include "dca/node_pool.h"
+#include "dca/task_ledger.h"
 #include "dca/workload.h"
 #include "fault/failure_model.h"
 #include "fault/latency_model.h"
@@ -173,30 +173,11 @@ class TaskServer {
   /// The value the computation accepted for `task`, or nullopt if the task
   /// was aborted. Only valid after run().
   [[nodiscard]] std::optional<redundancy::ResultValue> accepted_value(
-      std::uint64_t task) const;
+      std::uint64_t task) const {
+    return ledger_.accepted_value(task);
+  }
 
  private:
-  struct TaskState {
-    /// The engine consulted for this task. Points at the server-wide shared
-    /// instance when the factory is stateless() (tasks are all in flight at
-    /// once, so per-task reset() cannot be used here — sharing is only
-    /// sound without per-task state); otherwise owns a per-task engine via
-    /// owned_strategy. Null once the task is decided.
-    redundancy::RedundancyStrategy* strategy = nullptr;
-    std::unique_ptr<redundancy::RedundancyStrategy> owned_strategy;
-    std::vector<redundancy::Vote> votes;
-    int outstanding = 0;  ///< logical jobs dispatched but not yet voted
-    int ordinals = 0;     ///< logical jobs ever created (encoder ordinals)
-    int waves = 0;
-    int jobs_started = 0;  ///< physical dispatches incl. re-issues + copies
-    bool started = false;
-    bool decided = false;
-    bool aborted = false;
-    sim::Time first_dispatch = 0.0;
-    sim::Time wave_started = 0.0;  ///< when the latest wave was enqueued
-    redundancy::ResultValue accepted = 0;  ///< valid when decided && !aborted
-  };
-
   /// One logical job: the unit the strategy asked for, which exactly one
   /// vote must eventually answer (or the task settles without it). May have
   /// several physical copies racing: the original, lost-copy replacements,
@@ -246,6 +227,7 @@ class TaskServer {
 
   void enqueue_copy(std::uint64_t job, std::uint64_t task, double carried_work,
                     bool prioritized);
+  /// Queues the logical jobs of a wave the ledger opened; no-op for 0.
   void enqueue_wave(std::uint64_t task, int jobs);
   void assign_available();
   /// Dispatches everything in staged_ as one wave: per-copy bookkeeping
@@ -256,26 +238,9 @@ class TaskServer {
   void dispatch_staged();
   void complete_job(std::uint64_t job, redundancy::NodeId node);
   void copy_lost(std::uint64_t job, double carried_work);
-  /// Surfaces a decision's decode-verify rejections (coded strategies)
-  /// through the metrics counter and the trace. No-op when zero.
-  void record_decode_rejects(std::uint64_t task,
-                             const redundancy::Decision& decision);
-  void consult_strategy(std::uint64_t task);
-  void finish_task(std::uint64_t task, redundancy::ResultValue accepted);
-  /// `budget_exhausted` distinguishes job-cap aborts (the normal in-run
-  /// cause, traced with that reason) from post-run starvation cleanup.
-  void abort_task(std::uint64_t task, bool budget_exhausted = true);
-  void record_task_metrics(const TaskState& state);
   void schedule_churn_join();
   void schedule_churn_leave();
   void churn_leave();
-  /// Records one pool-health sample and re-arms the sampling timer while
-  /// tasks remain undecided. No-op without a configured recorder.
-  void sample_health();
-  void schedule_sampling();
-  /// Cancels the pending sampling timer (called when the last task
-  /// settles, so sampling never extends the simulation past the run).
-  void stop_sampling();
 
   /// The current re-issue/speculation deadline for a copy of `task`:
   /// adaptive estimate when enabled, else the fixed timeout (<= 0 = none).
@@ -293,35 +258,18 @@ class TaskServer {
 
   sim::Simulator& simulator_;
   DcaConfig config_;
-  const redundancy::StrategyFactory& factory_;
   const Workload& workload_;
   fault::FailureModel& failures_;
 
-  /// Cached from the factory: non-null when the strategy encodes tasks
-  /// into pieces (votes are then stamped with their piece index), and
-  /// whether it wants a decide() peek after every vote instead of only at
-  /// wave boundaries (an accept mid-wave settles the task early; its
-  /// leftover copies complete as discarded).
-  const redundancy::TaskEncoder* encoder_ = nullptr;
-  bool eager_ = false;
-
-  /// One decision engine for all tasks when the factory is stateless
-  /// (avoids a per-task allocation); null for stateful factories.
-  std::unique_ptr<redundancy::RedundancyStrategy> shared_strategy_;
-
   NodePool pool_;
-  /// The assignment policy in force: config-supplied, or owned_policy_
-  /// built from the spec (uniform by default).
-  AssignmentPolicy* policy_ = nullptr;
-  std::unique_ptr<AssignmentPolicy> owned_policy_;
+  RunMetrics metrics_;
+  /// Per-task state, decisions and the assignment policy in force.
+  TaskLedger ledger_;
   std::deque<QueuedJob> job_queue_;  ///< copies awaiting a node
-  std::vector<TaskState> tasks_;
   std::unordered_map<std::uint64_t, LogicalJob> jobs_;  ///< live logical jobs
   std::unordered_map<redundancy::NodeId, InFlight> inflight_;
   std::uint64_t next_job_id_ = 0;
-  std::uint64_t undecided_ = 0;
   std::optional<DeadlineEstimator> deadline_;
-  sim::EventId sample_event_{};  ///< pending health-sample timer
 
   rng::Stream rng_assign_;
   rng::Stream rng_duration_;
@@ -336,8 +284,6 @@ class TaskServer {
   std::vector<double> staged_u01_;
   std::vector<double> staged_delays_;
   std::vector<sim::EventId> staged_events_;
-
-  RunMetrics metrics_;
 };
 
 }  // namespace smartred::dca
