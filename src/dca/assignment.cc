@@ -97,8 +97,8 @@ class IdleBuckets {
   std::size_t hi_;  ///< upper bound on the highest non-empty bucket
 };
 
-/// The paper baseline: one uniform draw over the idle set — the exact draw
-/// the legacy NodePool::acquire_random made, so seed-pinned runs survive.
+/// The paper baseline: one uniform draw over the idle set — one RNG index
+/// into NodePool::idle_ids(), the draw the seed-pinned runs were made with.
 class UniformPolicy final : public AssignmentPolicy {
  public:
   std::optional<NodeId> select(const AssignContext& /*context*/,

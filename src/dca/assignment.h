@@ -16,8 +16,9 @@
 // plain objects built from string specs ("least-outstanding",
 // "stratified:tiers=4,late=2") with the same did-you-mean SpecError UX,
 // reset() returns them to their initial state for reuse across shards, and
-// the uniform policy reproduces the legacy acquire_random draw bit for bit
-// so every seed-pinned aggregate survives the redesign.
+// the uniform policy reproduces the paper's single uniform draw over the
+// idle set bit for bit, so every seed-pinned aggregate survives the
+// redesign.
 //
 // Contract (see DESIGN §12 for the full ordering rules):
 //  - select() must not mutate the pool; it returns an *idle* node id (one

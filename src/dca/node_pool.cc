@@ -25,14 +25,6 @@ redundancy::NodeId NodePool::join(double speed) {
   return id;
 }
 
-std::optional<redundancy::NodeId> NodePool::acquire_random(rng::Stream& rng) {
-  if (idle_.empty()) return std::nullopt;
-  const std::size_t slot = rng.index(idle_.size());
-  const redundancy::NodeId id = idle_[slot];
-  acquire(id);
-  return id;
-}
-
 void NodePool::acquire(redundancy::NodeId node) {
   remove_from_idle(node);
   records_.at(node).busy = true;

@@ -29,12 +29,6 @@ class NodePool {
   /// returns its fresh id. Requires speed > 0.
   redundancy::NodeId join(double speed = 1.0);
 
-  /// Picks a uniformly random idle node, marks it busy, and returns its id;
-  /// nullopt when every live node is busy or quarantined. Exactly one RNG
-  /// draw per successful pick (an index into idle_ids()).
-  [[nodiscard]] std::optional<redundancy::NodeId> acquire_random(
-      rng::Stream& rng);
-
   /// Marks a specific idle node busy. Assignment policies pick a node from
   /// idle_ids() and the dispatcher claims it through here. Requires the
   /// node to be idle.

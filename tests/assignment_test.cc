@@ -62,9 +62,9 @@ void expect_pinned(const RunMetrics& metrics) {
   EXPECT_DOUBLE_EQ(metrics.response_time.mean(), 8.2202844792206236);
 }
 
-// The tentpole's survival clause: routing node selection through the
-// policy seam with the uniform policy reproduces the legacy acquire_random
-// trajectory bit for bit — same pins as determinism_test, unmodified.
+// Routing node selection through the policy seam with the uniform policy
+// reproduces the original single-draw trajectory bit for bit — same pins
+// as determinism_test, unmodified.
 TEST(AssignmentTest, UniformSpecReproducesPinnedSeed7Aggregates) {
   expect_pinned(pinned_run("uniform"));
 }

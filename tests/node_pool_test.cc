@@ -3,13 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/expect.h"
 #include "common/rng.h"
+#include "dca/assignment.h"
 
 namespace smartred::dca {
 namespace {
+
+/// Claims a random idle node the way the dispatcher does: pick an id from
+/// idle_ids(), then acquire() it. nullopt when no node is idle.
+std::optional<redundancy::NodeId> acquire_idle(NodePool& pool,
+                                               rng::Stream& rng) {
+  const auto idle = pool.idle_ids();
+  if (idle.empty()) return std::nullopt;
+  const redundancy::NodeId node = idle[rng.index(idle.size())];
+  pool.acquire(node);
+  return node;
+}
 
 TEST(NodePoolTest, InitialPopulation) {
   NodePool pool(100);
@@ -21,7 +34,7 @@ TEST(NodePoolTest, InitialPopulation) {
 TEST(NodePoolTest, AcquireMarksBusy) {
   NodePool pool(3);
   rng::Stream rng(1);
-  const auto node = pool.acquire_random(rng);
+  const auto node = acquire_idle(pool, rng);
   ASSERT_TRUE(node.has_value());
   EXPECT_EQ(pool.idle_count(), 2u);
   EXPECT_EQ(pool.busy_count(), 1u);
@@ -30,36 +43,40 @@ TEST(NodePoolTest, AcquireMarksBusy) {
 TEST(NodePoolTest, ExhaustionReturnsNullopt) {
   NodePool pool(2);
   rng::Stream rng(1);
-  EXPECT_TRUE(pool.acquire_random(rng).has_value());
-  EXPECT_TRUE(pool.acquire_random(rng).has_value());
-  EXPECT_FALSE(pool.acquire_random(rng).has_value());
+  EXPECT_TRUE(acquire_idle(pool, rng).has_value());
+  EXPECT_TRUE(acquire_idle(pool, rng).has_value());
+  EXPECT_FALSE(acquire_idle(pool, rng).has_value());
 }
 
 TEST(NodePoolTest, ReleaseReturnsToIdle) {
   NodePool pool(2);
   rng::Stream rng(1);
-  const auto node = pool.acquire_random(rng);
+  const auto node = acquire_idle(pool, rng);
   pool.release(*node);
   EXPECT_EQ(pool.idle_count(), 2u);
   // The released node can be acquired again.
   std::set<redundancy::NodeId> seen;
   for (int i = 0; i < 50; ++i) {
-    const auto again = pool.acquire_random(rng);
+    const auto again = acquire_idle(pool, rng);
     seen.insert(*again);
     pool.release(*again);
   }
   EXPECT_TRUE(seen.contains(*node));
 }
 
+// The paper's assignment model: every idle node is equally likely.
 TEST(NodePoolTest, SelectionIsUniform) {
   NodePool pool(10);
   rng::Stream rng(7);
+  const std::unique_ptr<AssignmentPolicy> policy = make_policy("uniform");
+  policy->bind(pool);
   std::map<redundancy::NodeId, int> counts;
   constexpr int kDraws = 50'000;
   for (int i = 0; i < kDraws; ++i) {
-    const auto node = pool.acquire_random(rng);
+    const auto node =
+        policy->select(AssignContext{0, 1, pool.live_count()}, pool, rng);
+    ASSERT_TRUE(node.has_value());
     ++counts[*node];
-    pool.release(*node);
   }
   ASSERT_EQ(counts.size(), 10u);
   for (const auto& [node, count] : counts) {
@@ -85,7 +102,7 @@ TEST(NodePoolTest, JoinRejectsNonPositiveSpeed) {
 TEST(NodePoolTest, LeaveIdleNodeShrinksPool) {
   NodePool pool(3);
   rng::Stream rng(1);
-  const auto node = pool.acquire_random(rng);
+  const auto node = acquire_idle(pool, rng);
   pool.release(*node);
   EXPECT_FALSE(pool.leave(*node));  // was idle
   EXPECT_EQ(pool.live_count(), 2u);
@@ -95,7 +112,7 @@ TEST(NodePoolTest, LeaveIdleNodeShrinksPool) {
 TEST(NodePoolTest, LeaveBusyNodeReportsBusy) {
   NodePool pool(2);
   rng::Stream rng(1);
-  const auto node = pool.acquire_random(rng);
+  const auto node = acquire_idle(pool, rng);
   EXPECT_TRUE(pool.leave(*node));
   EXPECT_EQ(pool.live_count(), 1u);
   EXPECT_EQ(pool.busy_count(), 0u);
@@ -104,7 +121,7 @@ TEST(NodePoolTest, LeaveBusyNodeReportsBusy) {
 TEST(NodePoolTest, ReleaseAfterLeaveIsNoop) {
   NodePool pool(2);
   rng::Stream rng(1);
-  const auto node = pool.acquire_random(rng);
+  const auto node = acquire_idle(pool, rng);
   pool.leave(*node);
   pool.release(*node);  // node left while busy; nothing to return
   EXPECT_EQ(pool.live_count(), 1u);
@@ -119,7 +136,7 @@ TEST(NodePoolTest, LeaveUnknownNodeThrows) {
 TEST(NodePoolTest, PickAnyCoversBusyAndIdle) {
   NodePool pool(4);
   rng::Stream rng(3);
-  const auto busy = pool.acquire_random(rng);
+  const auto busy = acquire_idle(pool, rng);
   std::set<redundancy::NodeId> seen;
   for (int i = 0; i < 400; ++i) seen.insert(*pool.pick_any(rng));
   EXPECT_EQ(seen.size(), 4u);
@@ -153,7 +170,7 @@ TEST(NodePoolTest, QuarantineRemovesIdleNodeFromRotation) {
   EXPECT_EQ(pool.live_count(), 2u);  // sidelined, not removed
   // Only the healthy node can be acquired.
   for (int i = 0; i < 20; ++i) {
-    const auto node = pool.acquire_random(rng);
+    const auto node = acquire_idle(pool, rng);
     ASSERT_TRUE(node.has_value());
     EXPECT_EQ(*node, 1u);
     pool.release(*node);
@@ -163,7 +180,7 @@ TEST(NodePoolTest, QuarantineRemovesIdleNodeFromRotation) {
 TEST(NodePoolTest, QuarantineBusyNodeFreesNoSlot) {
   NodePool pool(2);
   rng::Stream rng(5);
-  const auto node = pool.acquire_random(rng);
+  const auto node = acquire_idle(pool, rng);
   EXPECT_EQ(pool.quarantine(*node), 1);
   EXPECT_EQ(pool.busy_count(), 0u);
   EXPECT_EQ(pool.quarantined_count(), 1u);
@@ -177,11 +194,11 @@ TEST(NodePoolTest, ReadmitReturnsNodeToRotation) {
   NodePool pool(1);
   rng::Stream rng(6);
   pool.quarantine(0);
-  EXPECT_FALSE(pool.acquire_random(rng).has_value());
+  EXPECT_FALSE(acquire_idle(pool, rng).has_value());
   EXPECT_TRUE(pool.readmit(0));
   EXPECT_FALSE(pool.is_quarantined(0));
   EXPECT_EQ(pool.quarantined_count(), 0u);
-  EXPECT_TRUE(pool.acquire_random(rng).has_value());
+  EXPECT_TRUE(acquire_idle(pool, rng).has_value());
 }
 
 TEST(NodePoolTest, QuarantineRoundsEscalate) {
@@ -226,7 +243,7 @@ TEST(NodePoolTest, StressChurnKeepsInvariants) {
   for (int step = 0; step < 10'000; ++step) {
     const auto action = rng.uniform_int(0, 3);
     if (action == 0) {
-      const auto node = pool.acquire_random(rng);
+      const auto node = acquire_idle(pool, rng);
       if (node.has_value()) busy.insert(*node);
     } else if (action == 1 && !busy.empty()) {
       const auto node = *busy.begin();
