@@ -31,8 +31,13 @@ struct Manifest {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> shards;  // len, crc
 };
 
+// Names are built by appending: GCC 12 at -O3 raises a false
+// -Werror=restrict on `"literal" + std::string` once it is inlined.
 [[nodiscard]] std::string epoch_prefix(std::uint64_t epoch) {
-  return "e" + std::to_string(epoch) + ".";
+  std::string prefix = "e";
+  prefix += std::to_string(epoch);
+  prefix += '.';
+  return prefix;
 }
 
 [[nodiscard]] fs::path manifest_path(const fs::path& dir,
@@ -42,8 +47,9 @@ struct Manifest {
 
 [[nodiscard]] fs::path shard_path(const fs::path& dir, unsigned level,
                                   std::uint64_t epoch, std::uint32_t shard) {
-  return dir / ("l" + std::to_string(level)) /
-         (epoch_prefix(epoch) + "s" + std::to_string(shard));
+  fs::path level_dir = "l";
+  level_dir += std::to_string(level);
+  return dir / level_dir / (epoch_prefix(epoch) + "s" + std::to_string(shard));
 }
 
 [[nodiscard]] fs::path parity_path(const fs::path& dir, std::uint64_t epoch) {

@@ -96,8 +96,11 @@ INSTANTIATE_TEST_SUITE_P(
                     Setup{0.9, 0.9}),
     [](const testing::TestParamInfo<Setup>& param_info) {
       const auto& s = param_info.param;
-      return "r" + std::to_string(static_cast<int>(s.r * 100)) + "_R" +
-             std::to_string(static_cast<int>(s.target * 10000));
+      std::string name = "r";
+      name += std::to_string(static_cast<int>(s.r * 100));
+      name += "_R";
+      name += std::to_string(static_cast<int>(s.target * 10000));
+      return name;
     });
 
 TEST(TheoremOneTest, ConfidenceDependsOnlyOnMargin) {

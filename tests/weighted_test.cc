@@ -181,9 +181,11 @@ INSTANTIATE_TEST_SUITE_P(
                     UniformSetup{0.8, 0.95}, UniformSetup{0.9, 0.9},
                     UniformSetup{0.9, 0.9999}, UniformSetup{0.99, 0.97}),
     [](const testing::TestParamInfo<UniformSetup>& param_info) {
-      return "r" + std::to_string(static_cast<int>(param_info.param.r * 100)) +
-             "_R" +
-             std::to_string(static_cast<int>(param_info.param.target * 1e4));
+      std::string name = "r";
+      name += std::to_string(static_cast<int>(param_info.param.r * 100));
+      name += "_R";
+      name += std::to_string(static_cast<int>(param_info.param.target * 1e4));
+      return name;
     });
 
 TEST(WeightedFactoryTest, NameAndProduct) {
