@@ -1,5 +1,8 @@
 #include "sat/sat_workload.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "common/expect.h"
 
 namespace smartred::sat {
@@ -8,8 +11,22 @@ SatWorkload::SatWorkload(Formula formula, std::uint64_t task_count,
                          ResultMode mode)
     : formula_(std::move(formula)),
       ranges_(decompose(formula_.num_vars(), task_count)),
-      mode_(mode),
-      truth_(task_count) {}
+      mode_(mode) {
+  truth_.reserve(ranges_.size());
+  for (const AssignmentRange& range : ranges_) {
+    const std::optional<Assignment> found = find_satisfying(formula_, range);
+    switch (mode_) {
+      case ResultMode::kBinary:
+        truth_.push_back(found.has_value() ? 1 : 0);
+        break;
+      case ResultMode::kFirstAssignment:
+        truth_.push_back(found.has_value()
+                             ? static_cast<redundancy::ResultValue>(*found)
+                             : redundancy::ResultValue{-1});
+        break;
+    }
+  }
+}
 
 std::uint64_t SatWorkload::task_count() const { return ranges_.size(); }
 
@@ -20,21 +37,7 @@ const AssignmentRange& SatWorkload::range(std::uint64_t task) const {
 
 redundancy::ResultValue SatWorkload::correct_value(std::uint64_t task) const {
   SMARTRED_EXPECT(task < ranges_.size(), "task index out of range");
-  if (!truth_[task].has_value()) {
-    const std::optional<Assignment> found =
-        find_satisfying(formula_, ranges_[task]);
-    switch (mode_) {
-      case ResultMode::kBinary:
-        truth_[task] = found.has_value() ? 1 : 0;
-        break;
-      case ResultMode::kFirstAssignment:
-        truth_[task] = found.has_value()
-                           ? static_cast<redundancy::ResultValue>(*found)
-                           : redundancy::ResultValue{-1};
-        break;
-    }
-  }
-  return *truth_[task];
+  return truth_[task];
 }
 
 double SatWorkload::job_work(std::uint64_t task) const {
@@ -47,13 +50,9 @@ double SatWorkload::job_work(std::uint64_t task) const {
 }
 
 bool SatWorkload::satisfiable() const {
-  for (std::uint64_t task = 0; task < ranges_.size(); ++task) {
-    const redundancy::ResultValue value = correct_value(task);
-    const bool positive =
-        mode_ == ResultMode::kBinary ? value == 1 : value >= 0;
-    if (positive) return true;
-  }
-  return false;
+  return std::ranges::any_of(truth_, [&](redundancy::ResultValue value) {
+    return mode_ == ResultMode::kBinary ? value == 1 : value >= 0;
+  });
 }
 
 }  // namespace smartred::sat

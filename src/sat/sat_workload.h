@@ -1,7 +1,6 @@
 // Workload adapter: 3-SAT range checks as DCA tasks.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "dca/workload.h"
@@ -23,10 +22,9 @@ enum class ResultMode {
 
 /// A 3-SAT instance decomposed into `task_count` range-check tasks.
 ///
-/// Ground truth is computed on demand by exhaustive evaluation and cached,
-/// so constructing a workload is cheap and only the ranges an experiment
-/// touches are ever solved. Not thread-safe (simulations are
-/// single-threaded by design).
+/// The constructor solves every range by exhaustive evaluation (every
+/// experiment touches every task), so a const workload is immutable and
+/// safe to share across parallel replications.
 class SatWorkload final : public dca::Workload {
  public:
   SatWorkload(Formula formula, std::uint64_t task_count,
@@ -42,15 +40,14 @@ class SatWorkload final : public dca::Workload {
   [[nodiscard]] ResultMode mode() const { return mode_; }
 
   /// Whether the whole instance is satisfiable, i.e. any task's ground
-  /// truth is positive. Forces evaluation of all ranges.
+  /// truth is positive.
   [[nodiscard]] bool satisfiable() const;
 
  private:
   Formula formula_;
   std::vector<AssignmentRange> ranges_;
   ResultMode mode_;
-  /// Lazily filled ground-truth cache (nullopt = not yet solved).
-  mutable std::vector<std::optional<redundancy::ResultValue>> truth_;
+  std::vector<redundancy::ResultValue> truth_;  ///< per-task ground truth
 };
 
 }  // namespace smartred::sat

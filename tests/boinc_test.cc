@@ -7,6 +7,7 @@
 #include "boinc/comparator.h"
 #include "common/expect.h"
 #include "dca/workload.h"
+#include "exp/parallel_runner.h"
 #include "redundancy/analysis.h"
 #include "redundancy/iterative.h"
 #include "redundancy/self_tuning.h"
@@ -172,6 +173,44 @@ TEST(DeploymentTest, SatWorkloadEndToEnd) {
   const dca::RunMetrics& metrics = deployment.run();
   EXPECT_GT(metrics.reliability(), 0.9);
   EXPECT_EQ(metrics.tasks_total, 64u);
+}
+
+// fig5b shares one const SatWorkload across parallel replications. Ground
+// truth is solved at construction, so the workers only ever read it: the
+// merged metrics match at any thread count, and the TSan tree sees no race.
+TEST(DeploymentTest, SharedSatWorkloadIsThreadCountInvariant) {
+  rng::Stream rng(37);
+  sat::Formula formula = sat::planted_formula(12, 51, 0b011010010110u, rng);
+  const sat::SatWorkload workload(std::move(formula), 64);
+  const redundancy::IterativeFactory factory(4);
+  const auto profiles = uniform_profiles(60, 0.7);
+  const auto merged = [&](unsigned threads) {
+    exp::RunnerConfig plan;
+    plan.replications = 8;
+    plan.threads = threads;
+    plan.master_seed = 37;
+    exp::ParallelRunner runner(plan);
+    return runner.run_merged([&](std::uint64_t, std::uint64_t rep_seed) {
+      sim::Simulator simulator;
+      Deployment deployment(simulator, quick_config(rep_seed), profiles,
+                            factory, workload);
+      return dca::RunMetrics(deployment.run());
+    });
+  };
+  const dca::RunMetrics serial = merged(1);
+  const dca::RunMetrics parallel = merged(4);
+  EXPECT_EQ(serial.tasks_total, 8U * 64U);
+  EXPECT_EQ(serial.tasks_correct, parallel.tasks_correct);
+  EXPECT_EQ(serial.tasks_aborted, parallel.tasks_aborted);
+  EXPECT_EQ(serial.jobs_dispatched, parallel.jobs_dispatched);
+  EXPECT_EQ(serial.jobs_completed, parallel.jobs_completed);
+  EXPECT_EQ(serial.jobs_correct, parallel.jobs_correct);
+  EXPECT_EQ(serial.jobs_lost, parallel.jobs_lost);
+  EXPECT_EQ(serial.jobs_discarded, parallel.jobs_discarded);
+  EXPECT_EQ(serial.jobs_unrun, parallel.jobs_unrun);
+  EXPECT_EQ(serial.makespan, parallel.makespan);
+  EXPECT_EQ(serial.response_time_hist, parallel.response_time_hist);
+  EXPECT_EQ(serial.jobs_per_task_hist, parallel.jobs_per_task_hist);
 }
 
 TEST(DeploymentTest, OneResultPerClientPerTask) {
