@@ -7,9 +7,8 @@ Protocol:
      CSV as the ground truth.
   2. Crash loop: run the same sweep with --checkpoint-dir, SIGKILL-ing the
      process at a seeded-random moment; then resume with --resume and kill
-     again, repeatedly. One attempt additionally deletes a level-0
-     checkpoint shard before resuming, forcing the store's partner-copy /
-     XOR-parity repair path.
+     again, repeatedly. Once a point holds two epochs, one byte of its
+     newest epoch file is flipped, so a resume must fall back to the older.
   3. Final resume: let the last --resume run finish, and require its CSV to
      be byte-identical to the reference.
 
@@ -95,16 +94,18 @@ def run_and_kill(cmd, delay, timeout):
         return True
 
 
-def delete_one_l0_shard(checkpoint_dir):
-    """Deletes the newest level-0 shard of the lowest-numbered point that
-    has one, simulating the loss of one worker's local checkpoint."""
+def corrupt_newest_epoch(checkpoint_dir):
+    """Flips a byte mid-file in the newest epoch of the lowest-numbered
+    point that holds two, so a resume must fall back to the older one."""
     root = pathlib.Path(checkpoint_dir)
     for point in sorted(root.glob("point-*"),
                         key=lambda p: int(p.name.split("-")[1])):
-        shards = sorted((point / "l0").glob("e*.s*"))
-        if shards:
-            shards[-1].unlink()
-            return str(shards[-1])
+        epochs = sorted(point.glob("e*.ckpt"), key=lambda p: int(p.stem[1:]))
+        if len(epochs) >= 2:
+            data = bytearray(epochs[-1].read_bytes())
+            data[len(data) // 2] ^= 0x40
+            epochs[-1].write_bytes(data)
+            return str(epochs[-1])
     return None
 
 
@@ -127,18 +128,18 @@ def main(argv):
         # 2. Crash loop: kill at seeded-random fractions of the reference
         # duration, so kills land at varied sweep positions.
         out_csv = tmp / "out.csv"
-        shard_deleted = False
+        corrupted = False
         for attempt in range(opts.kills):
             delay = max(0.05, rng.uniform(0.1, 0.9) * duration)
             cmd = bench_cmd(opts, out_csv, ckpt_dir, resume=attempt > 0)
             killed = run_and_kill(cmd, delay, opts.timeout)
             print(f"attempt {attempt}: "
                   f"{'killed after %.2fs' % delay if killed else 'finished'}")
-            if not shard_deleted and ckpt_dir.exists():
-                victim = delete_one_l0_shard(ckpt_dir)
+            if not corrupted and ckpt_dir.exists():
+                victim = corrupt_newest_epoch(ckpt_dir)
                 if victim:
-                    shard_deleted = True
-                    print(f"deleted level-0 shard: {victim}")
+                    corrupted = True
+                    print(f"flipped a byte in newest epoch: {victim}")
 
         # 3. Final resume must finish and reproduce the reference bytes.
         run_to_completion(bench_cmd(opts, out_csv, ckpt_dir, resume=True),
@@ -148,12 +149,12 @@ def main(argv):
             raise SystemExit(
                 "FAIL: resumed sweep CSV differs from the uninterrupted "
                 f"reference ({len(resumed)} vs {len(reference)} bytes)")
-        if not shard_deleted:
+        if not corrupted:
             raise SystemExit(
-                "FAIL: no level-0 shard was ever deleted — kills never left "
-                "a checkpoint behind; lower --kills delays or raise --reps")
+                "FAIL: no epoch file was ever corrupted — no kill left a "
+                "point with two epochs; lower --kills delays or raise --reps")
         print("OK: resumed aggregates are byte-identical to the "
-              "uninterrupted reference, including after level-0 shard loss")
+              "uninterrupted reference, even with a corrupt newest epoch")
     return 0
 
 

@@ -24,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/store.h"
 #include "ckpt/sweep.h"
 #include "common/flags.h"
 #include "common/spec.h"
@@ -189,15 +188,8 @@ class TelemetrySession {
         progress_(*flags.progress),
         profile_enabled_(*flags.profile) {
     if (!flags.checkpoint_dir->empty()) {
-      ckpt::StoreConfig store;
-      store.dir = *flags.checkpoint_dir;
-      // Shard count tracks the worker-pool size (the "workers" of the
-      // redundancy scheme), capped so tiny records aren't shredded into
-      // dozens of files. It only shapes storage, never results.
-      store.shards = std::clamp(
-          exp::resolve_threads(static_cast<unsigned>(*flags.threads)), 1u, 8u);
       checkpointer_.emplace(
-          std::move(store),
+          *flags.checkpoint_dir,
           *flags.checkpoint_every > 0
               ? static_cast<std::uint64_t>(*flags.checkpoint_every)
               : 0,

@@ -212,7 +212,7 @@ void Deployment::deadline_check(std::uint64_t task, std::uint64_t job_id) {
   if (!live) return;  // reported in time
   ++metrics_.jobs_lost;
   ledger_.trace(obs::EventKind::kDeadlineFired, task,
-                static_cast<std::int64_t>(job_id), 0, /*stamp_wave=*/true);
+                static_cast<std::int64_t>(job_id));
   if (ledger_.at_job_cap(task)) {
     ledger_.abort(task);
     return;

@@ -19,11 +19,10 @@ std::vector<std::uint8_t> frame_record(
   return writer.take();
 }
 
-std::optional<FramedRecord> parse_record(
-    const std::vector<std::uint8_t>& bytes, std::string* why) {
+bool frame_intact(const std::vector<std::uint8_t>& bytes, std::string* why) {
   const auto reject = [why](std::string reason) {
     if (why != nullptr) *why = std::move(reason);
-    return std::nullopt;
+    return false;
   };
   // magic + version + fingerprint + payload_len + crc
   constexpr std::size_t kFrameOverhead = 4 + 4 + 8 + 8 + 4;
@@ -31,6 +30,22 @@ std::optional<FramedRecord> parse_record(
     return reject("record truncated: " + std::to_string(bytes.size()) +
                   " bytes is shorter than the frame");
   }
+  const std::uint32_t expected =
+      common::crc32c(bytes.data(), bytes.size() - 4);
+  common::ByteReader crc_reader(bytes.data() + bytes.size() - 4, 4);
+  if (crc_reader.u32() != expected) {
+    return reject("CRC mismatch: record is torn or corrupt");
+  }
+  return true;
+}
+
+std::optional<FramedRecord> parse_record(
+    const std::vector<std::uint8_t>& bytes, std::string* why) {
+  const auto reject = [why](std::string reason) {
+    if (why != nullptr) *why = std::move(reason);
+    return std::nullopt;
+  };
+  if (!frame_intact(bytes, why)) return std::nullopt;
   common::ByteReader reader(bytes.data(), bytes.size() - 4);
   const std::uint32_t magic = reader.u32();
   if (magic != kRecordMagic) {
@@ -44,16 +59,9 @@ std::optional<FramedRecord> parse_record(
   const std::uint64_t fingerprint = reader.u64();
   const std::uint64_t payload_len = reader.u64();
   if (payload_len != reader.remaining()) {
-    return reject("record truncated: payload claims " +
+    return reject("payload length mismatch: payload claims " +
                   std::to_string(payload_len) + " bytes, " +
                   std::to_string(reader.remaining()) + " present");
-  }
-  const std::uint32_t expected =
-      common::crc32c(bytes.data(), bytes.size() - 4);
-  common::ByteReader crc_reader(bytes.data() + bytes.size() - 4, 4);
-  const std::uint32_t actual = crc_reader.u32();
-  if (expected != actual) {
-    return reject("CRC mismatch: record is corrupt");
   }
   FramedRecord record;
   record.fingerprint = fingerprint;

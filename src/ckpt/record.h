@@ -11,12 +11,13 @@
 //   crc  u32   CRC-32C of everything above
 //
 // The frame is what makes recovery *refuse cleanly* instead of
-// mis-resuming: a truncated file fails the length check, a flipped byte
-// fails the CRC, a record written by a future format fails the version
-// check, and a record from a different run configuration fails the
-// fingerprint comparison in the typed layer. parse_record never throws on
-// hostile input — it returns nullopt with a reason, so the recovery scan
-// can fall through to older checkpoints or redundant copies.
+// mis-resuming. frame_intact checks the size and the CRC before any field
+// is read, so a torn or bit-flipped file is rejected as damaged and the
+// store falls back to an older epoch. An intact record written by another
+// format fails the version check, and one from a different run
+// configuration fails the fingerprint comparison in the typed layer; both
+// are refused. Neither check throws on hostile input: each returns a
+// verdict with a one-line reason.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,8 @@ namespace smartred::ckpt {
 
 /// Thrown for unrecoverable checkpoint problems: a record that matches no
 /// known layout, a configuration mismatch on resume, or a failed save.
-/// (Recoverable damage — a corrupt shard with an intact partner — is
-/// handled inside the store and never surfaces as an exception.)
+/// (A torn or corrupt epoch file is not one: the store skips it for an
+/// older epoch and never throws.)
 class Error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -52,9 +53,17 @@ struct FramedRecord {
   std::vector<std::uint8_t> payload;
 };
 
+/// Whether `bytes` are an undamaged frame: at least the frame's size, with
+/// a trailing CRC-32C that matches everything before it. Reads no field,
+/// so it says nothing about magic, version or fingerprint. On false, `why`
+/// (when non-null) gets a one-line reason.
+[[nodiscard]] bool frame_intact(const std::vector<std::uint8_t>& bytes,
+                                std::string* why = nullptr);
+
 /// Validates and strips the frame. Returns nullopt (and, when `why` is
-/// non-null, a one-line reason) on bad magic, version skew, truncation, or
-/// CRC mismatch. Never throws on malformed input.
+/// non-null, a one-line reason) when the frame is not intact, or on bad
+/// magic, version skew or a payload length that disagrees with the size.
+/// Never throws on malformed input.
 [[nodiscard]] std::optional<FramedRecord> parse_record(
     const std::vector<std::uint8_t>& bytes, std::string* why = nullptr);
 

@@ -1,28 +1,19 @@
-// Multi-level redundant checkpoint store (SCR-style).
+// Checkpoint store: one CRC-framed file per epoch.
 //
-// A sweep checkpoint must survive the failures it exists to mask: partial
-// writes from a SIGKILL mid-save, a lost or corrupted shard file, and
-// stale state from older format versions. Following the LLNL SCR cache
-// design, every committed record is stored at three redundancy levels:
+// Each save of a point writes the framed record (ckpt/record.h) as
+// `point-<N>/e<E>.ckpt` through common::atomic_write_file: tmp sibling,
+// fsync, rename, directory fsync. The rename is the commit point, so a
+// SIGKILL mid-save leaves at most a stale `e<E>.ckpt.tmp` and the previous
+// epoch current. The newest two epochs are kept.
 //
-//   level 0  the record split into per-worker shards  l0/e<N>.s<K>
-//   level 1  a partner copy of every shard            l1/e<N>.s<K>
-//            (a second failure domain: on a cluster this would live on a
-//            neighbor node; here it is a sibling directory)
-//   level 2  an XOR parity block across the shards    l2/e<N>.parity
-//            (any single missing/corrupt shard is reconstructed from the
-//            surviving shards plus parity, SNS-repair style: rebuild lost
-//            state from survivors without stopping production)
-//
-// A save writes shards, partners, and parity first, then commits by
-// atomically writing the epoch manifest — the manifest names every
-// artifact with its length and CRC-32C, so an epoch is readable iff its
-// manifest is, and a SIGKILL anywhere mid-save leaves the previous epoch
-// untouched. The newest `keep_epochs` epochs are retained; recovery scans
-// manifests newest-to-oldest and returns the first epoch whose record can
-// be assembled and verified, repairing (and writing back) any single
-// damaged shard along the way. Records that cannot be assembled are
-// diagnosed and skipped, never trusted.
+// Recovery scans the epoch files newest to oldest and returns the first
+// whose frame is intact (ckpt::frame_intact: size and CRC-32C). A torn or
+// bit-flipped file is diagnosed and skipped, so the cost of damage is
+// re-running the replications since the older epoch. Second copies of a
+// record in this same directory would share its one failure domain (the
+// disk), and guard against nothing the CRC and the older epoch do not.
+// Whether an intact record belongs to this format version and this run is
+// for the typed layer (ckpt/sweep.h) to decide.
 #pragma once
 
 #include <cstdint>
@@ -33,37 +24,24 @@
 
 namespace smartred::ckpt {
 
-struct StoreConfig {
-  /// Root directory; each sweep point gets a `point-<N>` subdirectory.
-  std::filesystem::path dir;
-  /// Level-0 shards per record (the "workers" of the redundancy scheme).
-  /// Clamped to at least 1; parity with one shard degenerates to a copy.
-  unsigned shards = 4;
-  /// Committed epochs retained per point (newest-to-oldest recovery scan
-  /// depth). At least 1; 2 keeps one fallback behind the newest.
-  unsigned keep_epochs = 2;
-};
-
-/// Byte-level multi-level checkpoint store. One instance per experiment
-/// binary; save/load are called from one thread at a time (the parallel
-/// runner serializes checkpoint work under its sink mutex).
+/// Byte-level checkpoint store. One instance per experiment binary;
+/// save/load are called from one thread at a time (the parallel runner
+/// serializes checkpoint work under its sink mutex).
 class Store {
  public:
-  explicit Store(StoreConfig config);
+  /// Each sweep point gets a `point-<N>` subdirectory of `dir`.
+  explicit Store(std::filesystem::path dir);
 
-  [[nodiscard]] const StoreConfig& config() const { return config_; }
   [[nodiscard]] std::filesystem::path point_dir(std::uint64_t point) const;
 
-  /// Commits `record` as the next epoch of `point` (levels 0-2, then the
-  /// manifest), and prunes epochs beyond keep_epochs. Throws Error when
+  /// Commits `record` (a frame_record() output) as the next epoch of
+  /// `point` and prunes all but the newest two epochs. Throws Error when
   /// the record cannot be made durable.
   void save(std::uint64_t point, const std::vector<std::uint8_t>& record);
 
-  /// Newest recoverable record of `point`: scans committed epochs
-  /// newest-to-oldest, verifying every shard against the manifest and
-  /// falling back to the partner copy or XOR reconstruction for any single
-  /// damaged shard. Returns nullopt when no epoch survives; `diagnostics`
-  /// (when non-null) collects one line per rejected or repaired artifact.
+  /// Newest record of `point` whose frame is intact, scanning epochs newest
+  /// to oldest. Returns nullopt when no epoch survives; `diagnostics` (when
+  /// non-null) collects one line per skipped epoch.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> load(
       std::uint64_t point, std::string* diagnostics = nullptr) const;
 
@@ -71,7 +49,7 @@ class Store {
   void reset_point(std::uint64_t point);
 
  private:
-  StoreConfig config_;
+  std::filesystem::path dir_;
 };
 
 }  // namespace smartred::ckpt

@@ -18,14 +18,15 @@
 // matter when (or how often) the process was killed.
 //
 // Layering: PointProgress<Result> is encoded by ckpt/codec.h, framed by
-// ckpt/record.h (version + fingerprint + CRC), and made durable by the
-// multi-level ckpt/store.h. run_resumable() is the drop-in replacement for
-// runner.run_merged() that the bench harness uses; with no checkpoint
-// attached it forwards to run_merged() untouched.
+// ckpt/record.h (version + fingerprint + CRC), and made durable by
+// ckpt/store.h as one file per save. run_resumable() is the drop-in
+// replacement for runner.run_merged() that the bench harness uses; with no
+// checkpoint attached it forwards to run_merged() untouched.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -76,8 +77,9 @@ struct PointCheckpoint {
 /// order. One per experiment binary.
 class SweepCheckpointer {
  public:
-  SweepCheckpointer(StoreConfig store, std::uint64_t every, bool resume)
-      : store_(std::move(store)), every_(every), resume_(resume) {}
+  SweepCheckpointer(std::filesystem::path dir, std::uint64_t every,
+                    bool resume)
+      : store_(std::move(dir)), every_(every), resume_(resume) {}
 
   SweepCheckpointer(const SweepCheckpointer&) = delete;
   SweepCheckpointer& operator=(const SweepCheckpointer&) = delete;
@@ -96,8 +98,6 @@ class SweepCheckpointer {
     points_.push_back(std::move(handle));
     return points_.back();
   }
-
-  [[nodiscard]] Store& store() { return store_; }
 
  private:
   Store store_;
@@ -165,7 +165,7 @@ template <typename Result>
   return writer.take();
 }
 
-/// Frames and commits a point's progress to the multi-level store.
+/// Frames and commits a point's progress as the point's next epoch.
 template <typename Result>
 void save_point(const PointCheckpoint& checkpoint,
                 const exp::RunnerConfig& config,
@@ -181,8 +181,8 @@ void save_point(const PointCheckpoint& checkpoint,
 /// Recovers a point's newest usable progress. Returns nullopt when the
 /// point has no checkpoint (fresh start); throws Error when a checkpoint
 /// exists but cannot be trusted — version skew, configuration mismatch, or
-/// a malformed payload. Repairs performed by the store (partner copy, XOR
-/// reconstruction) are reported on stderr.
+/// a malformed payload. Damaged epochs the store skipped on the way to an
+/// older one are reported on stderr.
 template <typename Result>
 [[nodiscard]] std::optional<PointProgress<Result>> load_point(
     const PointCheckpoint& checkpoint, const exp::RunnerConfig& config) {

@@ -1,11 +1,11 @@
 // CRC-32C (Castagnoli) checksums for durable on-disk records.
 //
-// Every checkpoint artifact (shard, parity block, manifest, framed record)
-// carries a CRC so that truncation, bit rot, or a torn write is detected
-// before any byte of it is trusted. CRC-32C is the iSCSI/ext4 polynomial —
-// better error-detection properties than the zip CRC at identical cost; a
-// plain table-driven implementation is used (checksumming is never on the
-// simulation hot path, only around file I/O).
+// Every framed checkpoint record carries a CRC so that truncation, bit
+// rot, or a torn write is detected before any byte of it is trusted.
+// CRC-32C is the iSCSI/ext4 polynomial — better error-detection properties
+// than the zip CRC at identical cost; a plain table-driven implementation
+// is used (checksumming is never on the simulation hot path, only around
+// file I/O).
 #pragma once
 
 #include <cstddef>

@@ -116,8 +116,7 @@ redundancy::Decision TaskLedger::decide(std::uint64_t task) {
     trace(obs::EventKind::kDecodeRejected, task, decision.decode_rejects);
   }
   if (!decision.done()) return decision;
-  trace(obs::EventKind::kDecision, task, decision.value, 0, false,
-        decision.reason);
+  trace(obs::EventKind::kDecision, task, decision.value, 0, decision.reason);
   const redundancy::ResultValue accepted = decision.value;
   state.accepted = accepted;
   if (accepted == workload_.correct_value(task)) ++metrics_.tasks_correct;
@@ -139,7 +138,7 @@ void TaskLedger::abort(std::uint64_t task, bool budget_exhausted) {
   SMARTRED_EXPECT(!state.decided, "abort of an already decided task");
   ++metrics_.tasks_aborted;
   if (!budget_exhausted) ++metrics_.tasks_abandoned;
-  trace(obs::EventKind::kTaskAborted, task, state.jobs_started, 0, false,
+  trace(obs::EventKind::kTaskAborted, task, state.jobs_started, 0,
         budget_exhausted ? redundancy::Decision::Reason::kBudgetExhausted
                          : redundancy::Decision::Reason::kAbandoned);
   settle(task);

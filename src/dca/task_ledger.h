@@ -121,11 +121,15 @@ class TaskLedger {
       std::uint64_t task) const;
 
   /// Takes a health sample now and every `interval` after it until the
-  /// last settle cancels the timer; no-op without a recorder.
-  /// `sample_pool(recorder, now)` records the substrate's series, then the
-  /// ledger's progress series follow. Samples are pure reads (no RNG
-  /// draws, no state writes), so a sampled run reproduces an unsampled
-  /// one bit for bit.
+  /// last settle cancels the timer, or until a sample finds no other event
+  /// pending; no-op without a recorder. `sample_pool(recorder, now)`
+  /// records the substrate's series, then the ledger's progress series
+  /// follow. Samples are pure reads (no RNG draws, no state writes), so a
+  /// sampled run reproduces an unsampled one bit for bit, with one
+  /// exception: when a run drains with tasks still undecided (a pool that
+  /// churned away), the last sample sets the drain time, so the makespan
+  /// of the tasks abandoned then lies within one `interval` after the
+  /// unsampled run's.
   template <typename SamplePool>
   void sample_health(obs::TimeSeriesRecorder* recorder, double interval,
                      SamplePool sample_pool) {
@@ -141,7 +145,7 @@ class TaskLedger {
                          metrics_.empirical_node_reliability());
       }
     }
-    if (undecided_ == 0) return;
+    if (undecided_ == 0 || simulator_.pending() == 0) return;
     sample_event_ = simulator_.schedule(
         interval, [this, recorder, interval, sample_pool] {
           sample_health(recorder, interval, sample_pool);
@@ -149,29 +153,25 @@ class TaskLedger {
   }
 
   /// Records one trace event at the current simulated time; a single
-  /// never-taken branch when no recorder is attached. The lifecycle kinds
-  /// — wave dispatched, node assigned, vote, decision, decode reject,
-  /// abort — are stamped with the task's wave count; `stamp_wave` adds it
-  /// to any other kind.
+  /// never-taken branch when no recorder is attached. Every event that
+  /// names a task carries the task's current wave count; the events that
+  /// name none (policy chosen, node quarantined, node readmitted) carry 0.
   void trace(obs::EventKind kind, std::uint64_t task, std::int64_t arg,
-             redundancy::NodeId node = 0, bool stamp_wave = false,
+             redundancy::NodeId node = 0,
              redundancy::Decision::Reason reason =
                  redundancy::Decision::Reason::kNone) const {
     obs::Recorder* const recorder = simulator_.recorder();
     if (recorder == nullptr) return;
     using obs::EventKind;
-    stamp_wave = stamp_wave || kind == EventKind::kWaveDispatched ||
-                 kind == EventKind::kNodeAssigned ||
-                 kind == EventKind::kVoteRecorded ||
-                 kind == EventKind::kDecision ||
-                 kind == EventKind::kDecodeRejected ||
-                 kind == EventKind::kTaskAborted;
+    const bool names_task = kind != EventKind::kPolicyChosen &&
+                            kind != EventKind::kNodeQuarantined &&
+                            kind != EventKind::kNodeReadmitted;
     recorder->record(obs::TraceEvent{
         .time = simulator_.now(),
         .task = task,
         .arg = arg,
         .node = node,
-        .wave = stamp_wave ? static_cast<std::uint32_t>(tasks_[task].waves)
+        .wave = names_task ? static_cast<std::uint32_t>(tasks_[task].waves)
                            : 0U,
         .kind = kind,
         .reason = static_cast<std::uint8_t>(reason),

@@ -133,8 +133,11 @@ struct DcaConfig {
   /// Optional pool-health sampler: every `sample_interval` simulated time
   /// units the server records node/queue/progress series (see the sampler
   /// in task_server.cc for the list). Read-only observations — a sampled
-  /// run reproduces an unsampled run's aggregates bit-for-bit. Not owned;
-  /// null disables sampling at zero cost.
+  /// run reproduces an unsampled run's aggregates bit-for-bit, except the
+  /// makespan of a run whose pool churns away with tasks undecided: the
+  /// last sample sets its drain time, up to one `sample_interval` later
+  /// (TaskLedger::sample_health). Not owned; null disables sampling at
+  /// zero cost.
   obs::TimeSeriesRecorder* timeseries = nullptr;
   /// Simulated-time stride between health samples. Must be positive when
   /// `timeseries` is set.

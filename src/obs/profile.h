@@ -39,7 +39,7 @@ enum class Phase : std::size_t {
   kSample,      ///< telemetry: periodic time-series sampling
   kExport,      ///< writing metric/trace files
   kCheckpointLoad,  ///< checkpoint recovery scan + record decode on resume
-  kCheckpointSave,  ///< checkpoint encode + multi-level write-out
+  kCheckpointSave,  ///< checkpoint encode + durable write-out
 };
 inline constexpr std::size_t kPhaseCount = 10;
 

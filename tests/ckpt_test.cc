@@ -1,7 +1,7 @@
 // Crash-safety tests for the checkpoint subsystem: byte codecs, record
-// framing, the multi-level store under hostile input (truncation, bit
-// flips, deleted shards, version skew), and bit-identical resume through
-// ckpt::run_resumable().
+// framing, the one-file-per-epoch store under hostile input (truncation,
+// bit flips, a killed save, version skew), and bit-identical resume
+// through ckpt::run_resumable().
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -306,7 +306,7 @@ TEST(CodecTest, MonteCarloResultRoundTripIsByteStable) {
   EXPECT_EQ(encoded(decoded<redundancy::MonteCarloResult>(bytes)), bytes);
 }
 
-// --- multi-level store ------------------------------------------------------
+// --- epoch store ------------------------------------------------------------
 
 class StoreTest : public testing::Test {
  protected:
@@ -319,14 +319,9 @@ class StoreTest : public testing::Test {
   }
   ~StoreTest() override { fs::remove_all(dir_); }
 
-  ckpt::Store make_store(unsigned shards = 4, unsigned keep = 2) {
-    ckpt::StoreConfig config;
-    config.dir = dir_;
-    config.shards = shards;
-    config.keep_epochs = keep;
-    return ckpt::Store(config);
-  }
+  ckpt::Store make_store() { return ckpt::Store(dir_); }
 
+  /// A framed record around `size` random payload bytes.
   static std::vector<std::uint8_t> record_bytes(std::size_t size,
                                                 std::uint64_t seed) {
     std::vector<std::uint8_t> bytes(size);
@@ -334,7 +329,7 @@ class StoreTest : public testing::Test {
     for (auto& b : bytes) {
       b = static_cast<std::uint8_t>(stream.uniform_int(0, 255));
     }
-    return bytes;
+    return ckpt::frame_record(seed, bytes);
   }
 
   fs::path dir_;
@@ -352,26 +347,17 @@ TEST_F(StoreTest, SaveLoadRoundTrips) {
 }
 
 TEST_F(StoreTest, LoadsNewestEpochAndPrunesOldOnes) {
-  ckpt::Store store = make_store(4, 2);
+  ckpt::Store store = make_store();
   store.save(0, record_bytes(400, 1));
   store.save(0, record_bytes(500, 2));
   store.save(0, record_bytes(600, 3));
   const auto loaded = store.load(0);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, record_bytes(600, 3));
-  // keep_epochs = 2: epoch 1 is pruned, epochs 2 and 3 remain.
-  EXPECT_FALSE(fs::exists(store.point_dir(0) / "e1.manifest"));
-  EXPECT_TRUE(fs::exists(store.point_dir(0) / "e2.manifest"));
-  EXPECT_TRUE(fs::exists(store.point_dir(0) / "e3.manifest"));
-}
-
-TEST_F(StoreTest, RecordSmallerThanShardCountRoundTrips) {
-  ckpt::Store store = make_store(8);
-  const std::vector<std::uint8_t> tiny = {1, 2, 3};  // some shards empty
-  store.save(0, tiny);
-  const auto loaded = store.load(0);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, tiny);
+  // Two epochs are kept: epoch 1 is pruned, epochs 2 and 3 remain.
+  EXPECT_FALSE(fs::exists(store.point_dir(0) / "e1.ckpt"));
+  EXPECT_TRUE(fs::exists(store.point_dir(0) / "e2.ckpt"));
+  EXPECT_TRUE(fs::exists(store.point_dir(0) / "e3.ckpt"));
 }
 
 TEST_F(StoreTest, PointsAreIndependent) {
@@ -385,62 +371,13 @@ TEST_F(StoreTest, PointsAreIndependent) {
   EXPECT_TRUE(store.load(7).has_value());
 }
 
-TEST_F(StoreTest, RepairsTruncatedShardFromPartner) {
-  ckpt::Store store = make_store();
-  const auto record = record_bytes(1000, 1);
-  store.save(0, record);
-  const fs::path shard = store.point_dir(0) / "l0" / "e1.s1";
-  ASSERT_TRUE(fs::exists(shard));
-  fs::resize_file(shard, fs::file_size(shard) / 2);
-  std::string diagnostics;
-  const auto loaded = store.load(0, &diagnostics);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, record);
-  EXPECT_NE(diagnostics.find("partner"), std::string::npos) << diagnostics;
-  // Self-healing: the damaged level-0 shard was written back.
-  EXPECT_TRUE(store.load(0, &(diagnostics = "")).has_value());
-  EXPECT_TRUE(diagnostics.empty()) << diagnostics;
-}
-
-TEST_F(StoreTest, RepairsFlippedByteFromPartner) {
-  ckpt::Store store = make_store();
-  const auto record = record_bytes(1000, 1);
-  store.save(0, record);
-  const fs::path shard = store.point_dir(0) / "l0" / "e1.s2";
-  auto bytes = *common::read_file(shard);
-  bytes[bytes.size() / 2] ^= 0x40;
-  common::atomic_write_file(shard, bytes);
-  std::string diagnostics;
-  const auto loaded = store.load(0, &diagnostics);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, record);
-  EXPECT_NE(diagnostics.find("partner"), std::string::npos) << diagnostics;
-}
-
-TEST_F(StoreTest, ReconstructsDoublyLostShardFromXorParity) {
-  ckpt::Store store = make_store();
-  const auto record = record_bytes(1003, 1);  // uneven shard lengths
-  store.save(0, record);
-  // Kill shard 0 at BOTH copy levels; only parity can bring it back.
-  fs::remove(store.point_dir(0) / "l0" / "e1.s0");
-  fs::remove(store.point_dir(0) / "l1" / "e1.s0");
-  std::string diagnostics;
-  const auto loaded = store.load(0, &diagnostics);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, record);
-  EXPECT_NE(diagnostics.find("parity"), std::string::npos) << diagnostics;
-}
-
 TEST_F(StoreTest, FallsBackToOlderEpochWhenTwoShardsDie) {
   ckpt::Store store = make_store();
   store.save(0, record_bytes(500, 1));
   store.save(0, record_bytes(600, 2));
-  // Two shards of the newest epoch gone at both levels: XOR parity covers
-  // only a single loss, so recovery must fall back to epoch 1.
-  for (const char* name : {"e2.s0", "e2.s1"}) {
-    fs::remove(store.point_dir(0) / "l0" / name);
-    fs::remove(store.point_dir(0) / "l1" / name);
-  }
+  // The newest epoch's file is torn: recovery must fall back to epoch 1.
+  const fs::path newest = store.point_dir(0) / "e2.ckpt";
+  fs::resize_file(newest, fs::file_size(newest) / 2);
   std::string diagnostics;
   const auto loaded = store.load(0, &diagnostics);
   ASSERT_TRUE(loaded.has_value());
@@ -453,10 +390,10 @@ TEST_F(StoreTest, FallsBackWhenNewestManifestIsCorrupt) {
   ckpt::Store store = make_store();
   store.save(0, record_bytes(500, 1));
   store.save(0, record_bytes(600, 2));
-  const fs::path manifest = store.point_dir(0) / "e2.manifest";
-  auto bytes = *common::read_file(manifest);
+  const fs::path newest = store.point_dir(0) / "e2.ckpt";
+  auto bytes = *common::read_file(newest);
   bytes[bytes.size() / 2] ^= 0x01;
-  common::atomic_write_file(manifest, bytes);
+  common::atomic_write_file(newest, bytes);
   std::string diagnostics;
   const auto loaded = store.load(0, &diagnostics);
   ASSERT_TRUE(loaded.has_value());
@@ -464,12 +401,9 @@ TEST_F(StoreTest, FallsBackWhenNewestManifestIsCorrupt) {
 }
 
 TEST_F(StoreTest, ReturnsNothingWhenEveryEpochIsUnrecoverable) {
-  ckpt::Store store = make_store(2, 1);
+  ckpt::Store store = make_store();
   store.save(0, record_bytes(500, 1));
-  fs::remove(store.point_dir(0) / "l0" / "e1.s0");
-  fs::remove(store.point_dir(0) / "l1" / "e1.s0");
-  fs::remove(store.point_dir(0) / "l0" / "e1.s1");
-  fs::remove(store.point_dir(0) / "l1" / "e1.s1");
+  fs::resize_file(store.point_dir(0) / "e1.ckpt", 3);
   std::string diagnostics;
   EXPECT_FALSE(store.load(0, &diagnostics).has_value());
   EXPECT_FALSE(diagnostics.empty());
@@ -479,11 +413,9 @@ TEST_F(StoreTest, SigkillMidSaveLeavesPreviousEpochIntact) {
   ckpt::Store store = make_store();
   const auto record = record_bytes(500, 1);
   store.save(0, record);
-  // Simulate a SIGKILL mid-save of epoch 2: shards written, manifest (the
-  // commit point) never lands.
-  common::atomic_write_file(store.point_dir(0) / "l0" / "e2.s0",
-                            record_bytes(100, 9));
-  common::atomic_write_file(store.point_dir(0) / "l1" / "e2.s0",
+  // Simulate a SIGKILL mid-save of epoch 2: its tmp file is written, the
+  // rename (the commit point) never happens.
+  common::atomic_write_file(store.point_dir(0) / "e2.ckpt.tmp",
                             record_bytes(100, 9));
   std::string diagnostics;
   const auto loaded = store.load(0, &diagnostics);
@@ -507,12 +439,6 @@ class SweepTest : public testing::Test {
   ~SweepTest() override {
     fs::remove_all(dir_);
     exp::reset_stop();
-  }
-
-  ckpt::StoreConfig store_config() {
-    ckpt::StoreConfig config;
-    config.dir = dir_;
-    return config;
   }
 
   // A deterministic replication function with real merge sensitivity: the
@@ -541,7 +467,7 @@ TEST_F(SweepTest, ResumableMatchesRunMergedWithoutCheckpoint) {
   exp::ParallelRunner reference(base_plan(16, 1));
   const auto expected = reference.run_merged(replicate);
 
-  ckpt::SweepCheckpointer checkpointer(store_config(), /*every=*/1,
+  ckpt::SweepCheckpointer checkpointer(dir_, /*every=*/1,
                                        /*resume=*/false);
   exp::RunnerConfig plan = base_plan(16, 3);
   plan.checkpoint = &checkpointer.plan_point("point-a");
@@ -560,7 +486,7 @@ TEST_F(SweepTest, StopSavesCheckpointAndResumeIsBitIdentical) {
 
   // Interrupt deterministically after 5 completions (single worker).
   {
-    ckpt::SweepCheckpointer checkpointer(store_config(), 1, false);
+    ckpt::SweepCheckpointer checkpointer(dir_, 1, false);
     exp::RunnerConfig plan = base_plan(16, 1);
     plan.checkpoint = &checkpointer.plan_point("point-a");
     exp::ParallelRunner runner(plan);
@@ -581,7 +507,7 @@ TEST_F(SweepTest, StopSavesCheckpointAndResumeIsBitIdentical) {
   exp::reset_stop();
 
   // Resume on a different thread count; the merged fold must not notice.
-  ckpt::SweepCheckpointer checkpointer(store_config(), 1, /*resume=*/true);
+  ckpt::SweepCheckpointer checkpointer(dir_, 1, /*resume=*/true);
   exp::RunnerConfig plan = base_plan(16, 4);
   plan.checkpoint = &checkpointer.plan_point("point-a");
   exp::ParallelRunner runner(plan);
@@ -601,13 +527,13 @@ TEST_F(SweepTest, StopSavesCheckpointAndResumeIsBitIdentical) {
 
 TEST_F(SweepTest, ResumingACompletePointRunsNothing) {
   {
-    ckpt::SweepCheckpointer checkpointer(store_config(), 1, false);
+    ckpt::SweepCheckpointer checkpointer(dir_, 1, false);
     exp::RunnerConfig plan = base_plan(8, 2);
     plan.checkpoint = &checkpointer.plan_point("point-a");
     exp::ParallelRunner runner(plan);
     (void)ckpt::run_resumable(runner, replicate);
   }
-  ckpt::SweepCheckpointer checkpointer(store_config(), 1, true);
+  ckpt::SweepCheckpointer checkpointer(dir_, 1, true);
   exp::RunnerConfig plan = base_plan(8, 2);
   plan.checkpoint = &checkpointer.plan_point("point-a");
   exp::ParallelRunner runner(plan);
@@ -621,7 +547,7 @@ TEST_F(SweepTest, ResumingACompletePointRunsNothing) {
 
 TEST_F(SweepTest, RefusesCheckpointFromDifferentConfiguration) {
   {
-    ckpt::SweepCheckpointer checkpointer(store_config(), 1, false);
+    ckpt::SweepCheckpointer checkpointer(dir_, 1, false);
     exp::RunnerConfig plan = base_plan(8, 1);
     plan.checkpoint = &checkpointer.plan_point("point-a");
     exp::ParallelRunner runner(plan);
@@ -629,7 +555,7 @@ TEST_F(SweepTest, RefusesCheckpointFromDifferentConfiguration) {
   }
   // Same directory, different master seed: resuming must refuse, not
   // silently blend two experiments.
-  ckpt::SweepCheckpointer checkpointer(store_config(), 1, true);
+  ckpt::SweepCheckpointer checkpointer(dir_, 1, true);
   exp::RunnerConfig plan = base_plan(8, 1);
   plan.master_seed = 43;
   plan.checkpoint = &checkpointer.plan_point("point-a");
@@ -639,13 +565,13 @@ TEST_F(SweepTest, RefusesCheckpointFromDifferentConfiguration) {
 
 TEST_F(SweepTest, RefusesCheckpointWithRelabeledPoint) {
   {
-    ckpt::SweepCheckpointer checkpointer(store_config(), 1, false);
+    ckpt::SweepCheckpointer checkpointer(dir_, 1, false);
     exp::RunnerConfig plan = base_plan(8, 1);
     plan.checkpoint = &checkpointer.plan_point("point-a");
     exp::ParallelRunner runner(plan);
     (void)ckpt::run_resumable(runner, replicate);
   }
-  ckpt::SweepCheckpointer checkpointer(store_config(), 1, true);
+  ckpt::SweepCheckpointer checkpointer(dir_, 1, true);
   exp::RunnerConfig plan = base_plan(8, 1);
   plan.checkpoint = &checkpointer.plan_point("point-b");  // sweep reshaped
   exp::ParallelRunner runner(plan);
@@ -655,7 +581,7 @@ TEST_F(SweepTest, RefusesCheckpointWithRelabeledPoint) {
 TEST_F(SweepTest, FreshRunWipesStaleStateAndVersionSkewIsRefused) {
   // Write a version-skewed record by hand.
   {
-    ckpt::Store store(store_config());
+    ckpt::Store store(dir_);
     auto framed = ckpt::frame_record(
         ckpt::point_fingerprint(
             ckpt::Codec<stats::StreamingStats>::kName, 8, 42, 0, "point-a"),
@@ -671,14 +597,14 @@ TEST_F(SweepTest, FreshRunWipesStaleStateAndVersionSkewIsRefused) {
   }
   // Resuming over it refuses cleanly...
   {
-    ckpt::SweepCheckpointer checkpointer(store_config(), 1, true);
+    ckpt::SweepCheckpointer checkpointer(dir_, 1, true);
     exp::RunnerConfig plan = base_plan(8, 1);
     plan.checkpoint = &checkpointer.plan_point("point-a");
     exp::ParallelRunner runner(plan);
     EXPECT_THROW((void)ckpt::run_resumable(runner, replicate), ckpt::Error);
   }
   // ...and a fresh (non-resume) run wipes it and proceeds.
-  ckpt::SweepCheckpointer checkpointer(store_config(), 1, false);
+  ckpt::SweepCheckpointer checkpointer(dir_, 1, false);
   exp::RunnerConfig plan = base_plan(8, 1);
   plan.checkpoint = &checkpointer.plan_point("point-a");
   exp::ParallelRunner runner(plan);

@@ -15,6 +15,8 @@
 //     collusion and the whole straggler stack (Pareto latency, churn,
 //     silent nodes, speculation, quarantine, adaptive deadlines,
 //     started-tasks-first, least-outstanding assignment).
+// A fourth, unpinned run checks that the health sampler lets a run whose
+// pool churned away drain and abandon its tasks.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -246,7 +248,11 @@ TEST(LifecycleGoldenTest, TaskServerStragglerStack) {
                        2.0898451680619559,
                        6.0,
                        5663,
-                       6941068426517095931ULL,
+                       // Re-pinned when kDeadlineFired and
+                       // kSpeculationLaunched took the task's wave (one
+                       // wave rule for every event that names a task);
+                       // the events themselves did not change.
+                       16090732901466263197ULL,
                        9237,
                        2894510455509820329ULL});
 }
@@ -274,6 +280,39 @@ TEST(LifecycleGoldenTest, MakespanIsTheLastSettleOnBothSubstrates) {
     ASSERT_GT(observed.metrics.tasks_total, 0U);
     EXPECT_EQ(observed.metrics.makespan, last_settle(observed.trace));
   }
+}
+
+/// dca::TaskServer on three nodes that all churn away with no joins, so the
+/// event queue drains with every task undecided and the run abandons them.
+dca::RunMetrics drained_pool_run(obs::TimeSeriesRecorder* timeseries) {
+  sim::Simulator simulator;
+  dca::DcaConfig config;
+  config.nodes = 3;
+  config.timeout = 5.0;
+  config.churn.leave_rate = 5.0;
+  config.timeseries = timeseries;
+  config.sample_interval = 1.0;
+  const auto factory = redundancy::make_strategy("iterative:d=4");
+  const dca::SyntheticWorkload workload(200);
+  fault::ByzantineCollusion failures(fault::ReliabilityAssigner(
+      fault::ConstantReliability{0.7}, rng::Stream(5)));
+  dca::TaskServer server(simulator, config, *factory, workload, failures);
+  return dca::RunMetrics(server.run());
+}
+
+// The health sampler must not keep a drained run alive: it stops re-arming
+// once it is the only pending event, so the sampled run abandons the same
+// tasks as the unsampled one. Its makespan is the one observable a sample
+// may move — the last sample sets the drain time — and by less than one
+// sample interval.
+TEST(LifecycleGoldenTest, SampledRunEndsWhenChurnDrainsThePool) {
+  const dca::RunMetrics unsampled = drained_pool_run(nullptr);
+  ASSERT_GT(unsampled.tasks_abandoned, 0U);
+  obs::TimeSeriesRecorder timeseries;
+  const dca::RunMetrics sampled = drained_pool_run(&timeseries);
+  EXPECT_EQ(counters(sampled), counters(unsampled));
+  EXPECT_GE(sampled.makespan, unsampled.makespan);
+  EXPECT_LT(sampled.makespan, unsampled.makespan + 1.0);
 }
 
 }  // namespace
