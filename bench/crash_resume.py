@@ -7,8 +7,9 @@ Protocol:
      CSV as the ground truth.
   2. Crash loop: run the same sweep with --checkpoint-dir, SIGKILL-ing the
      process at a seeded-random moment; then resume with --resume and kill
-     again, repeatedly. Once a point holds two epochs, one byte of its
-     newest epoch file is flipped, so a resume must fall back to the older.
+     again, repeatedly. Once an unfinished point holds two epochs, one byte
+     of its newest epoch file is flipped, so a resume must fall back to the
+     older epoch and re-run the replications saved since it.
   3. Final resume: let the last --resume run finish, and require its CSV to
      be byte-identical to the reference.
 
@@ -94,18 +95,39 @@ def run_and_kill(cmd, delay, timeout):
         return True
 
 
+# ckpt::frame_record's header: magic u32, version u32, fingerprint u64,
+# payload length u64 (little-endian).
+FRAME_HEADER_BYTES = 24
+
+
+def record_complete(data):
+    """The `complete` byte ckpt::encode_point writes after the identity
+    header (codec name, replications, master seed, point, label)."""
+    pos = FRAME_HEADER_BYTES
+    pos += 8 + int.from_bytes(data[pos:pos + 8], "little")  # codec name
+    pos += 3 * 8  # replications, master seed, point
+    pos += 8 + int.from_bytes(data[pos:pos + 8], "little")  # label
+    return data[pos] != 0
+
+
 def corrupt_newest_epoch(checkpoint_dir):
     """Flips a byte mid-file in the newest epoch of the lowest-numbered
-    point that holds two, so a resume must fall back to the older one."""
+    point that holds two epochs and whose newest record is not complete, so
+    a resume must fall back to the older epoch and recompute the
+    replications saved since it. Returns the damaged file, or None when no
+    point qualifies yet."""
     root = pathlib.Path(checkpoint_dir)
     for point in sorted(root.glob("point-*"),
                         key=lambda p: int(p.name.split("-")[1])):
         epochs = sorted(point.glob("e*.ckpt"), key=lambda p: int(p.stem[1:]))
-        if len(epochs) >= 2:
-            data = bytearray(epochs[-1].read_bytes())
-            data[len(data) // 2] ^= 0x40
-            epochs[-1].write_bytes(data)
-            return str(epochs[-1])
+        if len(epochs) < 2:
+            continue
+        data = bytearray(epochs[-1].read_bytes())
+        if record_complete(data):
+            continue
+        data[len(data) // 2] ^= 0x40
+        epochs[-1].write_bytes(data)
+        return str(epochs[-1])
     return None
 
 
@@ -151,8 +173,8 @@ def main(argv):
                 f"reference ({len(resumed)} vs {len(reference)} bytes)")
         if not corrupted:
             raise SystemExit(
-                "FAIL: no epoch file was ever corrupted — no kill left a "
-                "point with two epochs; lower --kills delays or raise --reps")
+                "FAIL: no epoch file was ever corrupted — no kill left an "
+                "unfinished point with two epochs; raise --kills or --reps")
         print("OK: resumed aggregates are byte-identical to the "
               "uninterrupted reference, even with a corrupt newest epoch")
     return 0

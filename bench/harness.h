@@ -129,7 +129,7 @@ inline ExperimentFlags add_experiment_flags(flags::Parser& parser,
       "policy", "uniform",
       "task-to-worker assignment policy for DCA points: uniform, "
       "least-outstanding, stratified[:tiers=T,late=W], "
-      "cartel-averse:groups=G (see dca::describe_policies)");
+      "cartel-averse:groups=G (see dca::make_policy)");
   return handles;
 }
 
@@ -369,9 +369,8 @@ struct RepTelemetry {
   obs::TimeSeriesRecorder* timeseries = nullptr;
   obs::PhaseProfiler* profile = nullptr;
 
-  /// Wires the handles into a DCA server config (keeping the config's own
-  /// sample_interval), and stamps the --policy spec into configs that
-  /// didn't choose an assignment policy themselves.
+  /// Wires the handles into a DCA server config, and stamps the --policy
+  /// spec into configs that didn't choose an assignment policy themselves.
   void apply(dca::DcaConfig& config) const {
     config.timeseries = timeseries;
     config.profile = profile;

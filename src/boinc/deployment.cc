@@ -6,6 +6,15 @@
 namespace smartred::boinc {
 namespace {
 
+/// One-way network latency bounds (uniform).
+constexpr double kLatencyLo = 0.01;
+constexpr double kLatencyHi = 0.05;
+/// Base job duration bounds before work/speed scaling (paper: U[0.5,1.5]).
+constexpr double kDurationLo = 0.5;
+constexpr double kDurationHi = 1.5;
+/// How long a client waits to re-request work when nothing is assignable.
+constexpr double kIdleRetry = 1.0;
+
 /// The colluding wrong answer under the binary worst case: the other value
 /// of a {0, 1} result, or value+1 for wider domains. Keeping binary results
 /// binary matters for the 3-SAT workload, whose answers are genuinely 0/1.
@@ -36,16 +45,7 @@ Deployment::Deployment(sim::Simulator& simulator, const BoincConfig& config,
       rng_compute_(rng::Stream(config.seed).fork("compute")),
       rng_fault_(rng::Stream(config.seed).fork("fault")) {
   SMARTRED_EXPECT(!profiles_.empty(), "need at least one client");
-  SMARTRED_EXPECT(config.latency_lo >= 0.0 &&
-                      config.latency_lo <= config.latency_hi,
-                  "latency bounds must satisfy 0 <= lo <= hi");
-  SMARTRED_EXPECT(config.duration_lo > 0.0 &&
-                      config.duration_lo <= config.duration_hi,
-                  "duration bounds must satisfy 0 < lo <= hi");
   SMARTRED_EXPECT(config.report_deadline > 0.0, "deadline must be positive");
-  SMARTRED_EXPECT(config.idle_retry > 0.0, "idle retry must be positive");
-  SMARTRED_EXPECT(config.timeseries == nullptr || config.sample_interval > 0.0,
-                  "health sampling needs a positive sample interval");
 }
 
 double Deployment::pool_effective_reliability() const {
@@ -53,7 +53,7 @@ double Deployment::pool_effective_reliability() const {
 }
 
 double Deployment::latency() {
-  return rng_network_.uniform(config_.latency_lo, config_.latency_hi);
+  return rng_network_.uniform(kLatencyLo, kLatencyHi);
 }
 
 const dca::RunMetrics& Deployment::run() {
@@ -69,7 +69,7 @@ const dca::RunMetrics& Deployment::run() {
     simulator_.schedule(boot,
                         [this, client] { client_request_work(client); });
   }
-  ledger_.sample_health(config_.timeseries, config_.sample_interval,
+  ledger_.sample_health(config_.timeseries,
                         [this](obs::TimeSeriesRecorder& recorder, double now) {
                           recorder.sample(
                               "queue_depth", now,
@@ -126,7 +126,7 @@ void Deployment::server_handle_request(redundancy::NodeId client) {
     return;
   }
   // Nothing assignable right now; the client polls again later.
-  simulator_.schedule(config_.idle_retry,
+  simulator_.schedule(kIdleRetry,
                       [this, client] { client_request_work(client); });
 }
 
@@ -159,7 +159,7 @@ void Deployment::client_compute(redundancy::NodeId client, std::uint64_t task,
     return;
   }
   const double duration =
-      rng_compute_.uniform(config_.duration_lo, config_.duration_hi) *
+      rng_compute_.uniform(kDurationLo, kDurationHi) *
       workload_.job_work(task) / profile.speed;
   // Under an encoding strategy the client computes one piece of the task;
   // the correct report is that piece's value.

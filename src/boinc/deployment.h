@@ -35,28 +35,21 @@
 
 namespace smartred::boinc {
 
+/// The network latency, the base job duration (the paper's U[0.5, 1.5],
+/// before work/speed scaling) and the idle client's polling delay are
+/// fixed; see the constants in deployment.cc.
 struct BoincConfig {
-  /// One-way network latency bounds (uniform).
-  double latency_lo = 0.01;
-  double latency_hi = 0.05;
-  /// Base job duration bounds before work/speed scaling (paper: U[0.5,1.5]).
-  double duration_lo = 0.5;
-  double duration_hi = 1.5;
   /// Report deadline: a job unreported for this long is re-issued.
   double report_deadline = 30.0;
-  /// How long a client waits to re-request work when the queue is empty.
-  double idle_retry = 1.0;
   /// Safety cap per task (aborted and counted incorrect beyond it).
   int max_jobs_per_task = 10'000;
   std::uint64_t seed = 1;
-  /// Optional project-health sampler: every `sample_interval` simulated
-  /// time units the server records queue/progress series. Read-only
-  /// observations — a sampled run reproduces an unsampled run's aggregates
-  /// bit-for-bit. Not owned; null disables sampling at zero cost.
+  /// Optional project-health sampler: every TaskLedger::kSampleInterval
+  /// simulated time units the server records queue/progress series.
+  /// Read-only observations — a sampled run reproduces an unsampled run's
+  /// aggregates bit-for-bit. Not owned; null disables sampling at zero
+  /// cost.
   obs::TimeSeriesRecorder* timeseries = nullptr;
-  /// Simulated-time stride between health samples. Must be positive when
-  /// `timeseries` is set.
-  double sample_interval = 1.0;
   /// Optional externally owned assignment policy (must outlive the
   /// deployment). Null selects `assignment_spec` instead. In this pull
   /// substrate the policy vetoes via admit() — clients request work, so

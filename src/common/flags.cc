@@ -7,27 +7,10 @@
 #include <sstream>
 
 #include "common/expect.h"
+#include "common/spec.h"
 
 namespace smartred::flags {
 namespace {
-
-/// Levenshtein distance, for "did you mean" suggestions on unknown flags.
-/// Flag names are short, so the quadratic two-row version is plenty.
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitution =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitution});
-    }
-  }
-  return row[b.size()];
-}
 
 bool parse_bool_text(const std::string& text, bool& out) {
   if (text == "true" || text == "1" || text == "yes" || text == "on") {
@@ -98,7 +81,7 @@ std::string Parser::suggest(const std::string& name) const {
   std::size_t best = cutoff + 1;
   std::string nearest;
   for (const Flag& flag : all_) {
-    const std::size_t distance = edit_distance(name, flag.name);
+    const std::size_t distance = spec::edit_distance(name, flag.name);
     if (distance < best) {
       best = distance;
       nearest = flag.name;

@@ -169,48 +169,4 @@ Interval wilson_interval(std::size_t successes, std::size_t trials, double z) {
   return {std::max(0.0, center - half), std::min(1.0, center + half)};
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  SMARTRED_EXPECT(lo < hi, "histogram range must be non-empty");
-  SMARTRED_EXPECT(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  auto raw = static_cast<long long>(std::floor((x - lo_) / width_));
-  raw = std::clamp<long long>(raw, 0,
-                              static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(raw)];
-  ++total_;
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  SMARTRED_EXPECT(i < counts_.size(), "bucket index out of range");
-  return counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  SMARTRED_EXPECT(i < counts_.size(), "bucket index out of range");
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::quantile(double fraction) const {
-  SMARTRED_EXPECT(total_ > 0, "quantile() of empty histogram");
-  SMARTRED_EXPECT(fraction >= 0.0 && fraction <= 1.0,
-                  "quantile fraction must be in [0, 1]");
-  const double target = fraction * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto in_bucket = static_cast<double>(counts_[i]);
-    if (cumulative + in_bucket >= target) {
-      const double within =
-          in_bucket == 0.0 ? 0.0 : (target - cumulative) / in_bucket;
-      return bucket_lo(i) + within * width_;
-    }
-    cumulative += in_bucket;
-  }
-  return lo_ + width_ * static_cast<double>(counts_.size());
-}
-
 }  // namespace smartred::stats

@@ -1,10 +1,9 @@
-// Streaming statistics, confidence intervals, and histograms used by the
-// simulation metrics and the benchmark harnesses.
+// Streaming statistics and confidence intervals used by the simulation
+// metrics and the benchmark harnesses.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace smartred::stats {
 
@@ -100,32 +99,5 @@ struct Interval {
 /// proportions near 0 or 1, unlike the Wald interval. Requires trials > 0.
 [[nodiscard]] Interval wilson_interval(std::size_t successes,
                                        std::size_t trials, double z = 1.96);
-
-/// Fixed-width histogram over [lo, hi); out-of-range observations are
-/// clamped into the first / last bucket so no sample is ever dropped.
-class Histogram {
- public:
-  /// Requires lo < hi and buckets > 0.
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const;
-  /// Inclusive-lower bound of bucket i.
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Value below which `fraction` of the observations fall (linear
-  /// interpolation within the bucket). Requires total() > 0 and
-  /// fraction in [0, 1].
-  [[nodiscard]] double quantile(double fraction) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace smartred::stats

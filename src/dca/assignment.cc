@@ -29,12 +29,9 @@ class IdleBuckets {
   void clear() {
     for (auto& bucket : buckets_) bucket.clear();
     slots_.clear();
-    tracked_ = 0;
     lo_ = buckets_.size();
     hi_ = 0;
   }
-
-  [[nodiscard]] std::size_t tracked() const { return tracked_; }
 
   [[nodiscard]] bool contains(NodeId node) const {
     return node < slots_.size() && slots_[node].bucket != kNone;
@@ -47,7 +44,6 @@ class IdleBuckets {
     ids.push_back(node);
     lo_ = std::min(lo_, bucket);
     hi_ = std::max(hi_, bucket);
-    ++tracked_;
   }
 
   void remove(NodeId node) {
@@ -59,7 +55,6 @@ class IdleBuckets {
     slots_[moved].index = slot.index;
     ids.pop_back();
     slots_[node].bucket = kNone;
-    --tracked_;
   }
 
   void move(NodeId node, std::size_t bucket) {
@@ -69,7 +64,7 @@ class IdleBuckets {
   }
 
   /// Uniform pick within the lowest non-empty bucket; one rng draw.
-  /// Requires tracked() > 0.
+  /// Requires some node to be indexed.
   [[nodiscard]] NodeId pick_lowest(rng::Stream& rng) {
     while (buckets_[lo_].empty()) ++lo_;
     const auto& ids = buckets_[lo_];
@@ -77,7 +72,7 @@ class IdleBuckets {
   }
 
   /// Uniform pick within the highest non-empty bucket; one rng draw.
-  /// Requires tracked() > 0.
+  /// Requires some node to be indexed.
   [[nodiscard]] NodeId pick_highest(rng::Stream& rng) {
     while (buckets_[hi_].empty()) --hi_;
     const auto& ids = buckets_[hi_];
@@ -92,7 +87,6 @@ class IdleBuckets {
 
   std::vector<std::vector<NodeId>> buckets_;
   std::vector<Slot> slots_;  ///< indexed by node id; kNone when untracked
-  std::size_t tracked_ = 0;
   std::size_t lo_;  ///< lower bound on the lowest non-empty bucket
   std::size_t hi_;  ///< upper bound on the highest non-empty bucket
 };
@@ -295,9 +289,9 @@ class StratifiedPolicy final : public AssignmentPolicy {
 /// wave. Composes with coded dispersal: each piece of a wave lands in a
 /// distinct group, so one colluding cluster can corrupt at most one piece
 /// per wave. When a wave has already touched every group with live
-/// members, the constraint is waived (counted) rather than deadlocking the
-/// queue; when eligible groups exist but none has an idle node, select()
-/// declines and the copy waits for a release.
+/// members, the constraint is waived rather than deadlocking the queue;
+/// when eligible groups exist but none has an idle node, select() declines
+/// and the copy waits for a release.
 class CartelAversePolicy final : public AssignmentPolicy {
  public:
   explicit CartelAversePolicy(int groups)
@@ -312,7 +306,6 @@ class CartelAversePolicy final : public AssignmentPolicy {
     if ((live_mask_ & ~used) == 0) {
       // Every live group is already in this wave; holding out would stall
       // the task forever.
-      ++waivers_;
       return idle[rng.index(idle.size())];
     }
     // Idle nodes are well mixed across groups, so a few rejection draws
@@ -360,7 +353,6 @@ class CartelAversePolicy final : public AssignmentPolicy {
     group_live_.assign(groups_, 0);
     live_mask_ = 0;
     used_.clear();
-    waivers_ = 0;
   }
 
   [[nodiscard]] std::string_view name() const override {
@@ -403,7 +395,6 @@ class CartelAversePolicy final : public AssignmentPolicy {
   std::vector<std::uint32_t> group_live_;  ///< live-node census per group
   std::uint64_t live_mask_ = 0;            ///< groups with any live member
   std::unordered_map<std::uint64_t, WaveUse> used_;  ///< current-wave groups
-  std::uint64_t waivers_ = 0;
 };
 
 const char* const kPolicyList =
@@ -453,19 +444,6 @@ std::unique_ptr<AssignmentPolicy> make_policy(std::string_view raw_spec) {
   throw spec::SpecError("unknown assignment policy '" + std::string(policy) +
                         "' (known: " + kPolicyList + ")" +
                         spec::did_you_mean(policy, kPolicyNames));
-}
-
-std::vector<std::string> describe_policies() {
-  return {
-      "uniform:                             paper baseline — one uniform "
-      "draw over the idle set",
-      "least-outstanding (lo):              fewest unreturned copies "
-      "(late/lost copies stay charged)",
-      "stratified:       [tiers=4,late=2]   reliability tiers; waves >= "
-      "late draw from the top tier",
-      "cartel-averse (cartel): groups=<int> never co-assigns a wave within "
-      "one suspected collusion group",
-  };
 }
 
 }  // namespace smartred::dca

@@ -149,7 +149,4 @@ class AssignmentPolicy {
 [[nodiscard]] std::unique_ptr<AssignmentPolicy> make_policy(
     std::string_view spec);
 
-/// One help line per policy, mirroring redundancy::Registry::describe().
-[[nodiscard]] std::vector<std::string> describe_policies();
-
 }  // namespace smartred::dca

@@ -11,12 +11,9 @@ NodePool::NodePool(std::size_t initial_nodes) {
   for (std::size_t i = 0; i < initial_nodes; ++i) join();
 }
 
-redundancy::NodeId NodePool::join(double speed) {
-  SMARTRED_EXPECT(speed > 0.0, "node speed must be positive");
+redundancy::NodeId NodePool::join() {
   const redundancy::NodeId id = next_id_++;
   Record record;
-  record.speed = speed;
-  record.busy = false;
   record.idle_slot = idle_.size();
   record.live_slot = live_.size();
   idle_.push_back(id);
@@ -78,12 +75,6 @@ bool NodePool::leave(redundancy::NodeId node) {
 std::optional<redundancy::NodeId> NodePool::pick_any(rng::Stream& rng) {
   if (live_.empty()) return std::nullopt;
   return live_[rng.index(live_.size())];
-}
-
-double NodePool::speed(redundancy::NodeId node) const {
-  const auto found = records_.find(node);
-  SMARTRED_EXPECT(found != records_.end(), "speed() of an unknown node");
-  return found->second.speed;
 }
 
 int NodePool::add_strike(redundancy::NodeId node) {

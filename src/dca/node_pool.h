@@ -21,13 +21,11 @@ namespace smartred::dca {
 /// nodes (index-swap trick) and support for churn and quarantine.
 class NodePool {
  public:
-  /// Creates `initial_nodes` nodes with speeds drawn from `speed_sampler`
-  /// (pass nullptr-like default for unit speed): see join().
+  /// Creates `initial_nodes` idle nodes: see join().
   explicit NodePool(std::size_t initial_nodes);
 
-  /// Adds a new node with the given speed multiplier (1.0 = nominal) and
-  /// returns its fresh id. Requires speed > 0.
-  redundancy::NodeId join(double speed = 1.0);
+  /// Adds a new idle node and returns its fresh id.
+  redundancy::NodeId join();
 
   /// Marks a specific idle node busy. Assignment policies pick a node from
   /// idle_ids() and the dispatcher claims it through here. Requires the
@@ -62,9 +60,6 @@ class NodePool {
   /// Picks a uniformly random live node (idle, busy, or quarantined) — used
   /// to choose a churn victim. nullopt when the pool is empty.
   [[nodiscard]] std::optional<redundancy::NodeId> pick_any(rng::Stream& rng);
-
-  /// Speed multiplier of a live node. Requires the node to be present.
-  [[nodiscard]] double speed(redundancy::NodeId node) const;
 
   // --- Quarantine: strike bookkeeping and sidelining -----------------------
 
@@ -102,7 +97,6 @@ class NodePool {
 
  private:
   struct Record {
-    double speed = 1.0;
     bool busy = false;
     bool quarantined = false;
     int strikes = 0;            ///< consecutive deadline strikes

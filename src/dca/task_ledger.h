@@ -120,18 +120,21 @@ class TaskLedger {
   [[nodiscard]] std::optional<redundancy::ResultValue> accepted_value(
       std::uint64_t task) const;
 
-  /// Takes a health sample now and every `interval` after it until the
-  /// last settle cancels the timer, or until a sample finds no other event
-  /// pending; no-op without a recorder. `sample_pool(recorder, now)`
+  /// Simulated-time stride between health samples, in both substrates.
+  static constexpr double kSampleInterval = 1.0;
+
+  /// Takes a health sample now and every kSampleInterval after it until
+  /// the last settle cancels the timer, or until a sample finds no other
+  /// event pending; no-op without a recorder. `sample_pool(recorder, now)`
   /// records the substrate's series, then the ledger's progress series
   /// follow. Samples are pure reads (no RNG draws, no state writes), so a
   /// sampled run reproduces an unsampled one bit for bit, with one
   /// exception: when a run drains with tasks still undecided (a pool that
   /// churned away), the last sample sets the drain time, so the makespan
-  /// of the tasks abandoned then lies within one `interval` after the
+  /// of the tasks abandoned then lies within one kSampleInterval after the
   /// unsampled run's.
   template <typename SamplePool>
-  void sample_health(obs::TimeSeriesRecorder* recorder, double interval,
+  void sample_health(obs::TimeSeriesRecorder* recorder,
                      SamplePool sample_pool) {
     if (recorder == nullptr) return;
     {
@@ -146,9 +149,9 @@ class TaskLedger {
       }
     }
     if (undecided_ == 0 || simulator_.pending() == 0) return;
-    sample_event_ = simulator_.schedule(
-        interval, [this, recorder, interval, sample_pool] {
-          sample_health(recorder, interval, sample_pool);
+    sample_event_ =
+        simulator_.schedule(kSampleInterval, [this, recorder, sample_pool] {
+          sample_health(recorder, sample_pool);
         });
   }
 

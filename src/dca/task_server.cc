@@ -58,8 +58,6 @@ TaskServer::TaskServer(sim::Simulator& simulator, const DcaConfig& config,
     deadline_.emplace(config.deadline.quantile, config.deadline.multiplier,
                       config.timeout, config.deadline.warmup);
   }
-  SMARTRED_EXPECT(config.timeseries == nullptr || config.sample_interval > 0.0,
-                  "health sampling needs a positive sample interval");
   ledger_.policy().bind(pool_);
 }
 
@@ -73,7 +71,7 @@ const RunMetrics& TaskServer::run() {
   schedule_churn_join();
   schedule_churn_leave();
   ledger_.sample_health(
-      config_.timeseries, config_.sample_interval,
+      config_.timeseries,
       [this](obs::TimeSeriesRecorder& recorder, double now) {
         recorder.sample("live_nodes", now,
                         static_cast<double>(pool_.live_count()));
@@ -227,24 +225,22 @@ void TaskServer::dispatch_staged() {
     rng_duration_.uniform01_batch(fresh, staged_u01_.data());
     std::size_t next = 0;
     for (StagedCopy& copy : staged_) {
-      double work = copy.job.carried_work;
-      if (work < 0.0) {
+      copy.duration = copy.job.carried_work;
+      if (copy.duration < 0.0) {
         const double base = config_.duration_lo +
                             (config_.duration_hi - config_.duration_lo) *
                                 staged_u01_[next++];
-        work = base * workload_.job_work(copy.job.task);
+        copy.duration = base * workload_.job_work(copy.job.task);
       }
-      copy.duration = work / pool_.speed(copy.node);
     }
   } else {
     for (StagedCopy& copy : staged_) {
-      double work = copy.job.carried_work;
-      if (work < 0.0) {
-        work = config_.latency->sample(copy.node, copy.job.task,
-                                       rng_duration_) *
-               workload_.job_work(copy.job.task);
+      copy.duration = copy.job.carried_work;
+      if (copy.duration < 0.0) {
+        copy.duration = config_.latency->sample(copy.node, copy.job.task,
+                                                rng_duration_) *
+                        workload_.job_work(copy.job.task);
       }
-      copy.duration = work / pool_.speed(copy.node);
     }
   }
   // Pass 3 — one bulk insertion of every completion event: the heap is
@@ -266,9 +262,9 @@ void TaskServer::dispatch_staged() {
   for (std::size_t i = 0; i < staged_.size(); ++i) {
     const StagedCopy& copy = staged_[i];
     inflight_.emplace(copy.node,
-                      InFlight{staged_events_[i], copy.job.job, copy.job.task,
+                      InFlight{staged_events_[i], copy.job.job,
                                simulator_.now(), copy.duration,
-                               pool_.speed(copy.node), copy.deadline});
+                               copy.deadline});
     maybe_arm_speculation(copy.job.job);
   }
 }
@@ -465,15 +461,14 @@ void TaskServer::churn_leave() {
   const InFlight flight = found->second;
   simulator_.cancel(flight.event);
   inflight_.erase(found);
-  // With checkpointing, only the work since the last checkpoint is lost;
-  // carried work is speed-normalized so any node can resume it.
+  // With checkpointing, only the work since the last checkpoint is lost.
   double carried_work = -1.0;
   if (config_.checkpoint_interval > 0.0) {
     const double elapsed = simulator_.now() - flight.started;
     const double checkpointed =
         std::floor(elapsed / config_.checkpoint_interval) *
         config_.checkpoint_interval;
-    carried_work = (flight.duration - checkpointed) * flight.speed;
+    carried_work = flight.duration - checkpointed;
     SMARTRED_ENSURE(carried_work >= 0.0, "carried work cannot be negative");
   }
   copy_lost(flight.job, carried_work);

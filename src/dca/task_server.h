@@ -5,8 +5,8 @@
 //
 // This is the DES-backed execution substrate used for the XDEVS experiments
 // (Figures 5(a) and 6): job durations are uniform in
-// [duration_lo, duration_hi] scaled by workload weight over node speed
-// (pluggable via fault::LatencyModel for heavy-tailed straggler regimes), a
+// [duration_lo, duration_hi] scaled by workload weight (pluggable via
+// fault::LatencyModel for heavy-tailed straggler regimes), a
 // wave's jobs run in parallel on distinct nodes, and a task's response time
 // runs from its first job assignment to its acceptance.
 //
@@ -99,7 +99,7 @@ struct QuarantineConfig {
 
 struct DcaConfig {
   std::size_t nodes = 10'000;
-  /// Base job duration bounds before speed scaling (paper: U[0.5, 1.5]).
+  /// Base job duration bounds before work scaling (paper: U[0.5, 1.5]).
   /// Used when `latency` is null; a LatencyModel overrides them.
   double duration_lo = 0.5;
   double duration_hi = 1.5;
@@ -130,18 +130,15 @@ struct DcaConfig {
   SpeculationConfig speculation;
   QuarantineConfig quarantine;
   std::uint64_t seed = 1;
-  /// Optional pool-health sampler: every `sample_interval` simulated time
-  /// units the server records node/queue/progress series (see the sampler
-  /// in task_server.cc for the list). Read-only observations — a sampled
-  /// run reproduces an unsampled run's aggregates bit-for-bit, except the
-  /// makespan of a run whose pool churns away with tasks undecided: the
-  /// last sample sets its drain time, up to one `sample_interval` later
-  /// (TaskLedger::sample_health). Not owned; null disables sampling at
-  /// zero cost.
+  /// Optional pool-health sampler: every TaskLedger::kSampleInterval
+  /// simulated time units the server records node/queue/progress series
+  /// (see the sampler in task_server.cc for the list). Read-only
+  /// observations — a sampled run reproduces an unsampled run's aggregates
+  /// bit-for-bit, except the makespan of a run whose pool churns away with
+  /// tasks undecided: the last sample sets its drain time, up to one
+  /// sample interval later (TaskLedger::sample_health). Not owned; null
+  /// disables sampling at zero cost.
   obs::TimeSeriesRecorder* timeseries = nullptr;
-  /// Simulated-time stride between health samples. Must be positive when
-  /// `timeseries` is set.
-  double sample_interval = 1.0;
   /// Optional wall-clock phase profiler for the dispatch/collect/decide
   /// stages (obs/profile.h). Not owned; null disables at zero cost.
   obs::PhaseProfiler* profile = nullptr;
@@ -201,16 +198,14 @@ class TaskServer {
   struct InFlight {
     sim::EventId event;
     std::uint64_t job = 0;      ///< logical job this copy belongs to
-    std::uint64_t task = 0;
     sim::Time started = 0.0;
-    double duration = 0.0;      ///< node-local duration of this attempt
-    double speed = 1.0;         ///< speed of the node running it
+    double duration = 0.0;      ///< duration of this attempt
     double deadline = 0.0;      ///< armed deadline; <= 0 means none
   };
 
   /// One queue entry. carried_work < 0 means a fresh copy (duration drawn
   /// at assignment); >= 0 means a checkpoint-resumed copy with that much
-  /// speed-normalized work left.
+  /// work left.
   struct QueuedJob {
     std::uint64_t job = 0;
     std::uint64_t task = 0;

@@ -26,9 +26,10 @@ class Workload {
   [[nodiscard]] virtual redundancy::ResultValue correct_value(
       std::uint64_t task) const = 0;
 
-  /// Nominal work of one job of this task, in work units: a node of speed s
-  /// finishes a job in (base duration) * work / s. The synthetic workload
-  /// uses 1.0; CPU-heavy tasks can weigh more.
+  /// Nominal work of one job of this task, in work units: a job takes
+  /// (base duration) * work, divided by the client's speed under
+  /// boinc::Deployment. The synthetic workload uses 1.0; CPU-heavy tasks
+  /// can weigh more.
   [[nodiscard]] virtual double job_work(std::uint64_t task) const = 0;
 
  protected:

@@ -93,13 +93,4 @@ std::uint64_t partition_size(std::uint64_t total, std::uint64_t parts,
   return total / parts + (index < total % parts ? 1 : 0);
 }
 
-std::uint64_t partition_offset(std::uint64_t total, std::uint64_t parts,
-                               std::uint64_t index) {
-  SMARTRED_EXPECT(parts > 0, "partition needs at least one part");
-  SMARTRED_EXPECT(index < parts, "partition index out of range");
-  const std::uint64_t base = total / parts;
-  const std::uint64_t extra = total % parts;
-  return index * base + std::min(index, extra);
-}
-
 }  // namespace smartred::exp

@@ -166,11 +166,6 @@ class ProgressMeter {
                                            std::uint64_t parts,
                                            std::uint64_t index);
 
-/// First work item of part `index` under the partition_size() split.
-[[nodiscard]] std::uint64_t partition_offset(std::uint64_t total,
-                                             std::uint64_t parts,
-                                             std::uint64_t index);
-
 /// What a run_subset() call accomplished.
 struct SubsetOutcome {
   /// Replications completed by this call (not counting already_done).

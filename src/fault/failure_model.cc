@@ -71,10 +71,10 @@ redundancy::ResultValue CorrelatedClusters::report(
   rng::Stream event_rng = cluster_seed_.fork(task).fork(
       static_cast<std::uint64_t>(cluster_of(node)));
   if (event_rng.bernoulli(cluster_failure_prob_)) {
-    return correct + 1;  // whole cluster fails, colluding
+    return colluding_wrong(correct);  // whole cluster fails, colluding
   }
   if (rng.bernoulli(assigner_.reliability(node))) return correct;
-  return correct + 1;
+  return colluding_wrong(correct);
 }
 
 }  // namespace smartred::fault

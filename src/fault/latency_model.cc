@@ -51,13 +51,9 @@ SlowNodeLatency::SlowNodeLatency(LatencyModel& base, double slow_fraction,
   SMARTRED_EXPECT(slowdown >= 1.0, "slowdown factor must be >= 1");
 }
 
-bool SlowNodeLatency::is_slow(redundancy::NodeId node) {
-  const auto found = slow_.find(node);
-  if (found != slow_.end()) return found->second;
+bool SlowNodeLatency::is_slow(redundancy::NodeId node) const {
   rng::Stream node_rng = seed_stream_.fork(node);
-  const bool slow = node_rng.bernoulli(slow_fraction_);
-  slow_.emplace(node, slow);
-  return slow;
+  return node_rng.bernoulli(slow_fraction_);
 }
 
 double SlowNodeLatency::sample(redundancy::NodeId node, std::uint64_t task,

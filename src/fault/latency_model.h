@@ -5,19 +5,18 @@
 // heavy-tailed per-job latency (Behrouzi-Far & Soljanin, arXiv:1808.02838;
 // Peng, Soljanin & Whiting, arXiv:2010.02147), persistently slow nodes, and
 // transient stalls. A LatencyModel decides the *base* duration of one job
-// attempt — before the workload's per-task work weight is applied and
-// before dividing by the node's speed — so the same redundancy strategies
-// can be evaluated under any latency regime. The substrate never sees which
-// model is active.
+// attempt — before the workload's per-task work weight is applied — so the
+// same redundancy strategies can be evaluated under any latency regime. The
+// substrate never sees which model is active.
 //
 // Determinism: models draw from the rng stream the substrate supplies (one
 // draw sequence per run); per-node traits (e.g. which nodes are slow) are
-// keyed by node id off a private seed stream and memoized, so they do not
-// depend on query order — the same scheme ReliabilityAssigner uses.
+// drawn from a private seed stream forked by node id, so they are a pure
+// function of (seed, node id) and do not depend on query order — the same
+// scheme ReliabilityAssigner uses.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "redundancy/types.h"
@@ -30,9 +29,8 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
 
-  /// Base duration (in simulated time units, before work-weight scaling and
-  /// node-speed division) of one attempt of `task` on `node`. Must return a
-  /// positive value.
+  /// Base duration (in simulated time units, before work-weight scaling) of
+  /// one attempt of `task` on `node`. Must return a positive value.
   [[nodiscard]] virtual double sample(redundancy::NodeId node,
                                       std::uint64_t task,
                                       rng::Stream& rng) = 0;
@@ -95,8 +93,8 @@ class ParetoLatency final : public LatencyModel {
 
 /// A fraction of the pool is persistently slow: every attempt on a slow
 /// node takes `slowdown` times the base model's draw. Which nodes are slow
-/// is decided per node id (deterministically, memoized), so churned-in
-/// nodes get stable designations. Models degraded hosts — thermal
+/// is decided per node id (a pure function of the seed and the id), so
+/// churned-in nodes get stable designations. Models degraded hosts — thermal
 /// throttling, background load, failing disks.
 class SlowNodeLatency final : public LatencyModel {
  public:
@@ -108,15 +106,14 @@ class SlowNodeLatency final : public LatencyModel {
   double sample(redundancy::NodeId node, std::uint64_t task,
                 rng::Stream& rng) override;
 
-  /// Whether `node` is designated slow (samples and memoizes on first use).
-  [[nodiscard]] bool is_slow(redundancy::NodeId node);
+  /// Whether `node` is designated slow.
+  [[nodiscard]] bool is_slow(redundancy::NodeId node) const;
 
  private:
   LatencyModel& base_;
   double slow_fraction_;
   double slowdown_;
   rng::Stream seed_stream_;
-  std::unordered_map<redundancy::NodeId, bool> slow_;
 };
 
 /// Transient stalls: with probability `stall_prob` an attempt is delayed by

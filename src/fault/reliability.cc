@@ -48,13 +48,9 @@ ReliabilityAssigner::ReliabilityAssigner(ReliabilityDistribution dist,
                                          rng::Stream seed_stream)
     : dist_(dist), seed_stream_(seed_stream) {}
 
-double ReliabilityAssigner::reliability(redundancy::NodeId node) {
-  const auto found = cache_.find(node);
-  if (found != cache_.end()) return found->second;
+double ReliabilityAssigner::reliability(redundancy::NodeId node) const {
   rng::Stream node_rng = seed_stream_.fork(std::uint64_t{node});
-  const double value = sample_reliability(dist_, node_rng);
-  cache_.emplace(node, value);
-  return value;
+  return sample_reliability(dist_, node_rng);
 }
 
 }  // namespace smartred::fault

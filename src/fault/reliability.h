@@ -3,12 +3,11 @@
 // The paper's core analysis assumes one average reliability r for the whole
 // pool (assumption 1, §2.3); §5.3 relaxes this to heterogeneous per-node
 // reliabilities. A ReliabilityDistribution describes the pool;
-// a ReliabilityAssigner deterministically samples and memoizes one value per
-// node id, so churned-in nodes get stable reliabilities without any global
-// ordering dependence.
+// a ReliabilityAssigner deterministically samples one value per node id (a
+// pure function of its seed and the id), so churned-in nodes get stable
+// reliabilities without any global ordering dependence.
 #pragma once
 
-#include <unordered_map>
 #include <variant>
 
 #include "common/rng.h"
@@ -46,13 +45,13 @@ using ReliabilityDistribution =
                                         rng::Stream& rng);
 
 /// Deterministic per-node reliability: the value for a node id is sampled
-/// from the distribution on first use (keyed by forking the seed stream with
-/// the node id) and memoized, so it does not depend on query order.
+/// from the distribution with the seed stream forked by the node id, so it
+/// does not depend on query order.
 class ReliabilityAssigner {
  public:
   ReliabilityAssigner(ReliabilityDistribution dist, rng::Stream seed_stream);
 
-  [[nodiscard]] double reliability(redundancy::NodeId node);
+  [[nodiscard]] double reliability(redundancy::NodeId node) const;
 
   /// The distribution mean (not the empirical mean of sampled nodes).
   [[nodiscard]] double mean() const { return mean_reliability(dist_); }
@@ -60,7 +59,6 @@ class ReliabilityAssigner {
  private:
   ReliabilityDistribution dist_;
   rng::Stream seed_stream_;
-  std::unordered_map<redundancy::NodeId, double> cache_;
 };
 
 }  // namespace smartred::fault

@@ -193,8 +193,9 @@ void write_csv_field(std::ostream& out, const std::string& text) {
   out << '"';
 }
 
-}  // namespace
-
+/// The Prometheus metric name a registry entry maps to: `smartred_` prefix
+/// and every charset-violating character (the registry's `.` separators)
+/// replaced with `_`.
 std::string prometheus_name(const std::string& name) {
   std::string result = "smartred_";
   result.reserve(result.size() + name.size());
@@ -205,6 +206,8 @@ std::string prometheus_name(const std::string& name) {
   }
   return result;
 }
+
+}  // namespace
 
 void write_prometheus(std::ostream& out,
                       std::span<const MetricsPoint> points) {

@@ -56,11 +56,6 @@ struct MetricsPoint {
   MetricRegistry metrics;
 };
 
-/// The Prometheus metric name a registry entry maps to: `smartred_` prefix
-/// and every charset-violating character (the registry's `.` separators)
-/// replaced with `_`. Exposed for the validation tooling's tests.
-[[nodiscard]] std::string prometheus_name(const std::string& name);
-
 /// Writes `points` in the Prometheus text exposition format (version
 /// 0.0.4): each distinct metric name becomes one family with a `# TYPE`
 /// header (counter, gauge, or histogram) and one sample per point, the

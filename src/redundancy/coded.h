@@ -142,7 +142,7 @@ struct CodedConfig {
   int v = -1;  ///< -1 = default min(1, n-k)
 
   /// Resolves the v = -1 default and validates; throws via SMARTRED_EXPECT
-  /// on violation. Registry::make performs the same checks with SpecError.
+  /// on violation. make_strategy performs the same checks with SpecError.
   [[nodiscard]] CodedConfig normalized() const;
 };
 

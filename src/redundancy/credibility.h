@@ -47,7 +47,6 @@ class ReputationBook {
   /// its history (including a blacklist entry) is forgotten.
   void forget(NodeId node);
 
-  [[nodiscard]] std::size_t tracked_nodes() const { return records_.size(); }
   [[nodiscard]] std::size_t blacklisted_count() const;
 
  private:

@@ -35,6 +35,9 @@ void MonteCarloResult::merge(const MonteCarloResult& other) {
 
 namespace {
 
+/// Sweep-progress sampling stride, in tasks.
+constexpr std::uint64_t kSampleEvery = 1024;
+
 // The wave loop, templated on the vote source so per-vote calls inline at
 // the call site: run_binary's batched sources below are plain structs, so
 // the hot path pays neither std::function dispatch per vote nor a raw
@@ -61,7 +64,6 @@ MonteCarloResult run_loop(const StrategyFactory& factory, Source& source,
   votes.reserve(static_cast<std::size_t>(config.max_jobs_per_task));
   obs::Recorder* const recorder = config.recorder;
   obs::TimeSeriesRecorder* const timeseries = config.timeseries;
-  const std::uint64_t stride = std::max<std::uint64_t>(config.sample_every, 1);
   for (std::uint64_t task = 0; task < config.tasks; ++task) {
     rng::Stream task_rng = master.fork(task);
     strategy->reset();
@@ -137,11 +139,11 @@ MonteCarloResult run_loop(const StrategyFactory& factory, Source& source,
       }
       if (decision.value == correct_value) ++result.tasks_correct;
     }
-    // Sweep-progress sampling: cumulative aggregates every `stride` tasks
-    // (and at the end). Pure reads of already-updated result fields, so
-    // sampling can never perturb the run.
+    // Sweep-progress sampling: cumulative aggregates every kSampleEvery
+    // tasks (and at the end). Pure reads of already-updated result fields,
+    // so sampling can never perturb the run.
     if (timeseries != nullptr &&
-        ((task + 1) % stride == 0 || task + 1 == config.tasks)) {
+        ((task + 1) % kSampleEvery == 0 || task + 1 == config.tasks)) {
       const double done = static_cast<double>(task + 1);
       timeseries->sample("cost_factor", done,
                          static_cast<double>(result.jobs_total) / done);

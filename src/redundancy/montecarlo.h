@@ -69,14 +69,12 @@ struct MonteCarloConfig {
   /// events are stamped with the task index as their "time" — within a task
   /// they stay in decision order. Null disables tracing at zero cost.
   obs::Recorder* recorder = nullptr;
-  /// Optional sweep-progress sampler: every `sample_every` tasks the run
-  /// records cumulative cost factor, reliability-so-far, and abort count as
-  /// time-series (time = task index). Read-only observations — a sampled
-  /// run's aggregates are bit-identical to an unsampled run's. Null
-  /// disables sampling at zero cost.
+  /// Optional sweep-progress sampler: every 1024 tasks (and after the
+  /// last) the run records cumulative cost factor, reliability-so-far, and
+  /// abort count as time-series (time = task index). Read-only
+  /// observations — a sampled run's aggregates are bit-identical to an
+  /// unsampled run's. Null disables sampling at zero cost.
   obs::TimeSeriesRecorder* timeseries = nullptr;
-  /// Sampling stride in tasks; values < 1 are treated as 1.
-  std::uint64_t sample_every = 1024;
 };
 
 /// Runs `factory`'s strategy over binary worst-case votes: each job is

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/spec.h"
 #include "redundancy/adaptive.h"
@@ -33,7 +32,7 @@ constexpr std::string_view kTechniqueNames[] = {
 
 }  // namespace
 
-std::shared_ptr<StrategyFactory> Registry::make(std::string_view raw_spec) {
+std::shared_ptr<StrategyFactory> make_strategy(std::string_view raw_spec) {
   const auto [technique, body] = spec::split(raw_spec);
   Params params("strategy spec '" + std::string(technique) + "'", body);
 
@@ -128,22 +127,6 @@ std::shared_ptr<StrategyFactory> Registry::make(std::string_view raw_spec) {
   throw SpecError("unknown redundancy technique '" + std::string(technique) +
                   "' (known: " + kTechniqueList + ")" +
                   did_you_mean(technique, kTechniqueNames));
-}
-
-std::vector<std::string> Registry::describe() {
-  return {
-      "traditional (tr): k=<int>            majority over k copies",
-      "progressive (pr): k=<int>            quorum of k, jobs in waves",
-      "iterative (ir):   d=<int>            margin rule, margin d",
-      "naive:            r=<p>,R=<p>        naive confidence iteration",
-      "weighted:         r=<p>,R=<p>        weighted votes, uniform pool",
-      "selftuning:       R=<p>[,initial=,warmup=,max=,min_estimate=,"
-      "forgetting=]",
-      "adaptive:         quorum=<int>,trust=<int>",
-      "credibility:      threshold=<p>[,f=<p>]",
-      "coded:            n=<int>,k=<int>[,g=n,d=1,v=min(1,n-k)]  any k of n "
-      "pieces reconstruct; waves of g",
-  };
 }
 
 }  // namespace smartred::redundancy

@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/spec.h"
 #include "redundancy/strategy.h"
@@ -28,23 +27,9 @@ namespace smartred::redundancy {
 /// registry — one grammar, one error type.)
 using SpecError = spec::SpecError;
 
-class Registry {
- public:
-  /// Builds a factory from a spec string. Throws SpecError on unknown
-  /// technique, unknown/duplicate/missing keys, or unparsable values.
-  [[nodiscard]] static std::shared_ptr<StrategyFactory> make(
-      std::string_view spec);
-
-  /// The technique names make() accepts, with their aliases and keys —
-  /// one "name[,alias]: key=default..." line per technique, for help text.
-  [[nodiscard]] static std::vector<std::string> describe();
-};
-
-/// Convenience wrapper over Registry::make for call sites that want a
-/// free function.
-[[nodiscard]] inline std::shared_ptr<StrategyFactory> make_strategy(
-    std::string_view spec) {
-  return Registry::make(spec);
-}
+/// Builds a factory from a spec string. Throws SpecError on unknown
+/// technique, unknown/duplicate/missing keys, or unparsable values.
+[[nodiscard]] std::shared_ptr<StrategyFactory> make_strategy(
+    std::string_view spec);
 
 }  // namespace smartred::redundancy

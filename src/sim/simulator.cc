@@ -5,21 +5,6 @@
 
 namespace smartred::sim {
 
-EventId Simulator::schedule(Time delay, Action&& action) {
-  SMARTRED_EXPECT(delay >= 0.0, "cannot schedule an event in the past");
-  return schedule_at(now_ + delay, std::move(action));
-}
-
-EventId Simulator::schedule_at(Time when, Action&& action) {
-  SMARTRED_EXPECT(when >= now_, "cannot schedule an event before now()");
-  SMARTRED_EXPECT(static_cast<bool>(action), "event action must be callable");
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].action = std::move(action);
-  const EventId id = stage_schedule(when, slot);
-  sift_up(heap_.size() - 1);
-  return id;
-}
-
 bool Simulator::cancel(EventId id) {
   // Only events that are still pending can be cancelled; cancel-after-fire,
   // double-cancel, and forged/stale handles all fail the generation compare
@@ -96,7 +81,7 @@ bool Simulator::execute_next() {
     // Move the action out and retire the slot *before* invoking: the action
     // may schedule new events, which may recycle this very slot or grow the
     // slab (invalidating Slot references, never the local).
-    Action action = std::move(slots_[slot].action);
+    InlineAction action = std::move(slots_[slot].action);
     retire_slot(slot);
     --pending_;
     now_ = top.when();
@@ -107,24 +92,9 @@ bool Simulator::execute_next() {
   return false;
 }
 
-void Simulator::skip_cancelled() {
-  while (!heap_.empty() && !top_is_live()) heap_pop();
-}
-
 Time Simulator::run() {
   while (execute_next()) {
   }
-  return now_;
-}
-
-Time Simulator::run_until(Time until) {
-  SMARTRED_EXPECT(until >= now_, "run_until() target is in the past");
-  while (true) {
-    skip_cancelled();
-    if (heap_.empty() || heap_.front().when() > until) break;
-    execute_next();
-  }
-  now_ = until;
   return now_;
 }
 

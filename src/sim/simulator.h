@@ -85,8 +85,6 @@ struct EventId {
 /// run; experiments parallelize across runs).
 class Simulator {
  public:
-  using Action = InlineAction;
-
   /// Current simulated time. Starts at 0.
   [[nodiscard]] Time now() const { return now_; }
 
@@ -100,37 +98,19 @@ class Simulator {
   /// Schedules a callable to run `delay` time units from now.
   /// Requires delay >= 0. Returns a handle usable with cancel().
   ///
-  /// Lambdas take this templated overload: the callable is placement-
-  /// constructed directly into its arena slot (no intermediate Action
-  /// object, no relocation), and the whole fast path inlines at the call
-  /// site.
+  /// The callable is placement-constructed directly into its arena slot
+  /// (no intermediate InlineAction object, no relocation), and the whole
+  /// fast path inlines at the call site.
   template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, InlineAction> &&
-             std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+    requires std::is_invocable_r_v<void, std::remove_cvref_t<F>&>
   EventId schedule(Time delay, F&& fn) {
     SMARTRED_EXPECT(delay >= 0.0, "cannot schedule an event in the past");
-    return schedule_at(now_ + delay, std::forward<F>(fn));
-  }
-
-  /// Schedules a pre-built Action (e.g. one handed through a queue).
-  EventId schedule(Time delay, Action&& action);
-
-  /// Schedules a callable at an absolute simulated time.
-  /// Requires when >= now().
-  template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, InlineAction> &&
-             std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
-  EventId schedule_at(Time when, F&& fn) {
-    SMARTRED_EXPECT(when >= now_, "cannot schedule an event before now()");
     const std::uint32_t slot = acquire_slot();
     slots_[slot].action.emplace(std::forward<F>(fn));
-    const EventId id = stage_schedule(when, slot);
+    const EventId id = stage_schedule(now_ + delay, slot);
     sift_up(heap_.size() - 1);
     return id;
   }
-
-  /// Schedules a pre-built Action at an absolute simulated time.
-  EventId schedule_at(Time when, Action&& action);
 
   /// Schedules `delays.size()` events in one bulk operation: all slots are
   /// acquired and all heap keys appended first, then the heap invariant is
@@ -167,10 +147,6 @@ class Simulator {
 
   /// Runs until the event queue is empty. Returns the final simulated time.
   Time run();
-
-  /// Runs events with timestamp <= `until`, then sets now() to `until`
-  /// (even if the queue emptied earlier). Returns now().
-  Time run_until(Time until);
 
   /// Executes at most `max_events` events. Returns the number executed
   /// (less than max_events only if the queue emptied).
@@ -294,13 +270,6 @@ class Simulator {
   /// is now stale.
   void retire_slot(std::uint32_t slot);
 
-  /// True when the heap's top key refers to a live (non-cancelled) event.
-  [[nodiscard]] bool top_is_live() const {
-    const HeapEntry& top = heap_.front();
-    return slots_[top.slot()].pending_meta == top.meta;
-  }
-  /// Discards tombstoned keys at the top of the heap.
-  void skip_cancelled();
   /// Pops and executes the next non-cancelled event, if any.
   /// Returns false when the queue is exhausted.
   bool execute_next();

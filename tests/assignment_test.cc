@@ -373,14 +373,5 @@ TEST(AssignmentSpecTest, AliasesResolve) {
             PolicyKind::kLeastOutstanding);
 }
 
-TEST(AssignmentSpecTest, DescribeListsEveryPolicy) {
-  const auto lines = describe_policies();
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_NE(lines[0].find("uniform"), std::string::npos);
-  EXPECT_NE(lines[1].find("least-outstanding"), std::string::npos);
-  EXPECT_NE(lines[2].find("stratified"), std::string::npos);
-  EXPECT_NE(lines[3].find("cartel-averse"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace smartred::dca

@@ -762,7 +762,7 @@ TEST(CodedBoincTest, FaultyPoolStaysCorrectViaDecodeVerify) {
 // Registry integration
 
 TEST(CodedRegistryTest, SpecRoundTripsThroughFactory) {
-  const auto factory = Registry::make("coded:n=6,k=4,g=2");
+  const auto factory = make_strategy("coded:n=6,k=4,g=2");
   ASSERT_NE(factory, nullptr);
   EXPECT_EQ(factory->name(), "coded(n=6,k=4,g=2,d=1,v=1)");
   EXPECT_TRUE(factory->stateless());
@@ -777,7 +777,7 @@ TEST(CodedRegistryTest, SpecRoundTripsThroughFactory) {
 }
 
 TEST(CodedRegistryTest, NonCodedFactoriesHaveNoEncoder) {
-  const auto factory = Registry::make("iterative:d=2");
+  const auto factory = make_strategy("iterative:d=2");
   EXPECT_EQ(factory->encoder(), nullptr);
   EXPECT_FALSE(factory->eager());
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/expect.h"
@@ -156,6 +157,23 @@ TEST(CorrelatedClustersTest, EffectiveReliabilityComposesFactors) {
     }
   }
   EXPECT_NEAR(static_cast<double>(correct) / kSamples, 0.72, 0.01);
+}
+
+TEST(CorrelatedClustersTest, WrongAnswerWrapsAtTheTopOfTheRange) {
+  // Coded piece values span the full 32-bit range, so the colluding wrong
+  // answer of INT32_MAX must wrap instead of overflowing: both the cluster
+  // event and an independent failure report INT32_MIN.
+  constexpr auto kTop = std::numeric_limits<redundancy::ResultValue>::max();
+  constexpr auto kBottom = std::numeric_limits<redundancy::ResultValue>::min();
+  rng::Stream rng = seed_stream();
+  CorrelatedClusters cluster_fails(
+      ReliabilityAssigner(ConstantReliability{1.0}, seed_stream()),
+      /*clusters=*/2, /*cluster_failure_prob=*/1.0, seed_stream());
+  EXPECT_EQ(cluster_fails.report(0, 0, kTop, rng), kBottom);
+  CorrelatedClusters node_fails(
+      ReliabilityAssigner(ConstantReliability{0.0}, seed_stream()),
+      /*clusters=*/2, /*cluster_failure_prob=*/0.0, seed_stream());
+  EXPECT_EQ(node_fails.report(0, 0, kTop, rng), kBottom);
 }
 
 TEST(CorrelatedClustersTest, RejectsBadParameters) {

@@ -291,7 +291,6 @@ dca::RunMetrics drained_pool_run(obs::TimeSeriesRecorder* timeseries) {
   config.timeout = 5.0;
   config.churn.leave_rate = 5.0;
   config.timeseries = timeseries;
-  config.sample_interval = 1.0;
   const auto factory = redundancy::make_strategy("iterative:d=4");
   const dca::SyntheticWorkload workload(200);
   fault::ByzantineCollusion failures(fault::ReliabilityAssigner(

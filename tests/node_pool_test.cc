@@ -86,17 +86,10 @@ TEST(NodePoolTest, SelectionIsUniform) {
 
 TEST(NodePoolTest, JoinAddsFreshIds) {
   NodePool pool(2);
-  const auto id = pool.join(2.0);
+  const auto id = pool.join();
   EXPECT_EQ(pool.live_count(), 3u);
-  EXPECT_DOUBLE_EQ(pool.speed(id), 2.0);
   const auto id2 = pool.join();
   EXPECT_NE(id, id2);
-}
-
-TEST(NodePoolTest, JoinRejectsNonPositiveSpeed) {
-  NodePool pool(1);
-  EXPECT_THROW((void)pool.join(0.0), PreconditionError);
-  EXPECT_THROW((void)pool.join(-1.0), PreconditionError);
 }
 
 TEST(NodePoolTest, LeaveIdleNodeShrinksPool) {

@@ -14,7 +14,7 @@ namespace {
 /// The message a bad spec fails with, or "" if it unexpectedly succeeds.
 std::string error_for(const std::string& spec) {
   try {
-    (void)Registry::make(spec);
+    (void)make_strategy(spec);
   } catch (const SpecError& error) {
     return error.what();
   }
@@ -22,32 +22,32 @@ std::string error_for(const std::string& spec) {
 }
 
 TEST(RegistryTest, BuildsEveryTechnique) {
-  EXPECT_EQ(Registry::make("traditional:k=5")->name(), "traditional(k=5)");
-  EXPECT_EQ(Registry::make("progressive:k=3")->name(), "progressive(k=3)");
-  EXPECT_EQ(Registry::make("iterative:d=4")->name(), "iterative(d=4)");
-  EXPECT_NE(Registry::make("naive:r=0.7,R=0.99"), nullptr);
-  EXPECT_NE(Registry::make("weighted:r=0.7,R=0.99"), nullptr);
-  EXPECT_NE(Registry::make("selftuning:R=0.999"), nullptr);
-  EXPECT_NE(Registry::make("adaptive:quorum=3,trust=5"), nullptr);
-  EXPECT_NE(Registry::make("credibility:threshold=0.99"), nullptr);
-  EXPECT_EQ(Registry::make("coded:n=6,k=4,g=2")->name(),
+  EXPECT_EQ(make_strategy("traditional:k=5")->name(), "traditional(k=5)");
+  EXPECT_EQ(make_strategy("progressive:k=3")->name(), "progressive(k=3)");
+  EXPECT_EQ(make_strategy("iterative:d=4")->name(), "iterative(d=4)");
+  EXPECT_NE(make_strategy("naive:r=0.7,R=0.99"), nullptr);
+  EXPECT_NE(make_strategy("weighted:r=0.7,R=0.99"), nullptr);
+  EXPECT_NE(make_strategy("selftuning:R=0.999"), nullptr);
+  EXPECT_NE(make_strategy("adaptive:quorum=3,trust=5"), nullptr);
+  EXPECT_NE(make_strategy("credibility:threshold=0.99"), nullptr);
+  EXPECT_EQ(make_strategy("coded:n=6,k=4,g=2")->name(),
             "coded(n=6,k=4,g=2,d=1,v=1)");
 }
 
 TEST(RegistryTest, AliasesNameTheSameFactory) {
-  EXPECT_EQ(Registry::make("tr:k=5")->name(),
-            Registry::make("traditional:k=5")->name());
-  EXPECT_EQ(Registry::make("pr:k=5")->name(),
-            Registry::make("progressive:k=5")->name());
-  EXPECT_EQ(Registry::make("ir:d=2")->name(),
-            Registry::make("iterative:d=2")->name());
+  EXPECT_EQ(make_strategy("tr:k=5")->name(),
+            make_strategy("traditional:k=5")->name());
+  EXPECT_EQ(make_strategy("pr:k=5")->name(),
+            make_strategy("progressive:k=5")->name());
+  EXPECT_EQ(make_strategy("ir:d=2")->name(),
+            make_strategy("iterative:d=2")->name());
 }
 
 TEST(RegistryTest, OptionalKeysFallBackToDefaults) {
   // selftuning needs only R; every tuning knob has a default.
-  EXPECT_NE(Registry::make("selftuning:R=0.99,initial=8,warmup=500"),
+  EXPECT_NE(make_strategy("selftuning:R=0.99,initial=8,warmup=500"),
             nullptr);
-  EXPECT_NE(Registry::make("credibility:threshold=0.95,f=0.3"), nullptr);
+  EXPECT_NE(make_strategy("credibility:threshold=0.95,f=0.3"), nullptr);
 }
 
 TEST(RegistryTest, UnknownTechniqueListsKnownOnes) {
@@ -84,24 +84,12 @@ TEST(RegistryTest, MalformedValuesAreErrors) {
             std::string::npos);
 }
 
-TEST(RegistryTest, FreeFunctionForwardsToRegistry) {
-  const std::shared_ptr<StrategyFactory> factory =
-      make_strategy("iterative:d=3");
-  ASSERT_NE(factory, nullptr);
-  EXPECT_EQ(factory->name(), "iterative(d=3)");
-}
-
-TEST(RegistryTest, DescribeCoversEveryTechnique) {
-  const auto lines = Registry::describe();
-  EXPECT_EQ(lines.size(), 9u);
-}
-
 TEST(RegistryTest, CodedDefaultsResolveFromNAndK) {
   // g defaults to n (one full wave), d to 1, v to min(1, n - k).
-  EXPECT_EQ(Registry::make("coded:n=6,k=4")->name(),
+  EXPECT_EQ(make_strategy("coded:n=6,k=4")->name(),
             "coded(n=6,k=4,g=6,d=1,v=1)");
   // n == k leaves no verification headroom: v resolves to 0.
-  EXPECT_EQ(Registry::make("coded:n=4,k=4")->name(),
+  EXPECT_EQ(make_strategy("coded:n=4,k=4")->name(),
             "coded(n=4,k=4,g=4,d=1,v=0)");
 }
 
@@ -163,7 +151,7 @@ TEST(RegistryTest, EveryRegisteredKeyRoundTripsThroughMakeStrategy) {
 TEST(RegistryTest, BuiltStrategiesDecideWithReasons) {
   // A registry-built strategy behaves like the directly constructed one,
   // including the Decision::Reason it reports.
-  const auto factory = Registry::make("traditional:k=1");
+  const auto factory = make_strategy("traditional:k=1");
   const auto strategy = factory->make();
   const Decision first = strategy->decide({});
   ASSERT_EQ(first.kind, Decision::Kind::kDispatch);

@@ -3,8 +3,9 @@
 // bookkeeping under heavy slot recycling, FIFO ordering among equal
 // timestamps, a randomized schedule/cancel/fire fuzz against a naïve
 // sorted-reference model, and the zero-allocation steady state (this binary
-// overrides global operator new with a counting version to prove the
-// schedule→fire path never touches the heap once the arena is warm).
+// links perfbench's counting operator new, perfbench/alloc_count.cc, to
+// prove the schedule→fire path never touches the heap once the arena is
+// warm).
 //
 // Run under SMARTRED_SANITIZE=address / =thread configurations, these tests
 // double as the memory-safety net for the arena's slot reuse.
@@ -12,47 +13,15 @@
 
 #include <gtest/gtest.h>
 
-// The counting operator new below is malloc-backed and pairs with a
-// free()-backed operator delete; GCC's heuristic cannot see the pairing
-// across the replaced global operators and misfires.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <random>
 #include <vector>
 
 #include "common/rng.h"
+#include "perfbench/alloc_count.h"
 #include "redundancy/types.h"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace smartred::sim {
 namespace {
@@ -143,10 +112,10 @@ TEST(SimulatorArenaTest, FifoAmongEqualTimestampsSurvivesCancels) {
   // at a later timestamp, with every third one cancelled: survivors must
   // fire in exact schedule order, before any of the later events.
   for (int i = 0; i < 100; ++i) {
-    sim.schedule_at(9.0, [&order, i] { order.push_back(1'000 + i); });
+    sim.schedule(9.0, [&order, i] { order.push_back(1'000 + i); });
   }
   for (int i = 0; i < 500; ++i) {
-    ids.push_back(sim.schedule_at(5.0, [&order, i] { order.push_back(i); }));
+    ids.push_back(sim.schedule(5.0, [&order, i] { order.push_back(i); }));
   }
   for (std::size_t i = 0; i < 500; i += 3) ASSERT_TRUE(sim.cancel(ids[i]));
   sim.run();
@@ -248,14 +217,14 @@ TEST(SimulatorArenaTest, SteadyStateChurnMakesNoAllocations) {
   }
   ASSERT_EQ(sim.step(kBacklog), static_cast<std::uint64_t>(kBacklog));
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = perfbench::alloc::total_count();
   for (int round = 0; round < 200; ++round) {
     for (int i = 0; i < kBacklog; ++i) {
       sim.schedule(1.0 + 0.01 * i, [&fired] { ++fired; });
     }
     if (sim.step(kBacklog) != static_cast<std::uint64_t>(kBacklog)) break;
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = perfbench::alloc::total_count();
 
   EXPECT_EQ(after - before, 0u)
       << "schedule→fire churn allocated on a warm arena";
@@ -278,7 +247,7 @@ TEST(SimulatorArenaTest, ScheduleBatchMakesNoAllocationsWhenWarm) {
   });
   ASSERT_EQ(sim.step(kBatch), kBatch);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = perfbench::alloc::total_count();
   for (int round = 0; round < 100; ++round) {
     sim.schedule_batch(
         delays,
@@ -288,7 +257,7 @@ TEST(SimulatorArenaTest, ScheduleBatchMakesNoAllocationsWhenWarm) {
         ids.data());
     ASSERT_EQ(sim.step(kBatch), kBatch);
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = perfbench::alloc::total_count();
 
   EXPECT_EQ(after - before, 0u)
       << "bulk insertion allocated on a warm arena";
@@ -327,12 +296,12 @@ TEST(SimulatorArenaTest, ScheduleBatchInterleavesWithScalarSchedules) {
 TEST(SimulatorArenaTest, BernoulliBatchMakesNoAllocations) {
   rng::Stream stream(5);
   bool out[512];
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = perfbench::alloc::total_count();
   for (int round = 0; round < 100; ++round) {
     stream.bernoulli_batch(0.7, 512, out);
     stream.uniform01_batch(0, nullptr);
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = perfbench::alloc::total_count();
   EXPECT_EQ(after - before, 0u) << "batched Bernoulli draws allocated";
   EXPECT_TRUE(out[0] || !out[0]);  // keep the buffer observable
 }
@@ -346,13 +315,13 @@ TEST(SimulatorArenaTest, VoteFoldMakesNoAllocationsAtInlineWidth) {
     votes[i] = redundancy::Vote{static_cast<redundancy::NodeId>(i),
                                 i % 3 == 0 ? 7 : 42, 0};
   }
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = perfbench::alloc::total_count();
   int leader_count = 0;
   for (int round = 0; round < 100; ++round) {
     redundancy::VoteTally tally{votes};
     leader_count += tally.standing().leader_count;
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = perfbench::alloc::total_count();
   EXPECT_EQ(after - before, 0u) << "inline-width vote fold allocated";
   EXPECT_EQ(leader_count, 100 * 42);  // 42 of the 64 votes say 42
 }

@@ -63,12 +63,6 @@ TEST(SimulatorTest, ScheduleInPastThrows) {
   sim.schedule(1.0, [] {});
   sim.run();
   EXPECT_THROW(sim.schedule(-0.5, [] {}), PreconditionError);
-  EXPECT_THROW(sim.schedule_at(0.5, [] {}), PreconditionError);
-}
-
-TEST(SimulatorTest, NullActionThrows) {
-  Simulator sim;
-  EXPECT_THROW(sim.schedule(1.0, Simulator::Action{}), PreconditionError);
 }
 
 TEST(SimulatorTest, CancelPreventsExecution) {
@@ -109,34 +103,6 @@ TEST(SimulatorTest, PendingTracksOutstandingEvents) {
   EXPECT_EQ(sim.pending(), 1u);
   sim.run();
   EXPECT_EQ(sim.pending(), 0u);
-}
-
-TEST(SimulatorTest, RunUntilStopsAtBoundary) {
-  Simulator sim;
-  std::vector<double> times;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    sim.schedule(t, [&times, &sim] { times.push_back(sim.now()); });
-  }
-  sim.run_until(2.5);
-  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0}));
-  EXPECT_DOUBLE_EQ(sim.now(), 2.5);
-  sim.run();
-  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
-}
-
-TEST(SimulatorTest, RunUntilIncludesEventsAtBoundary) {
-  Simulator sim;
-  bool fired = false;
-  sim.schedule(2.0, [&] { fired = true; });
-  sim.run_until(2.0);
-  EXPECT_TRUE(fired);
-}
-
-TEST(SimulatorTest, RunUntilAdvancesClockEvenWithoutEvents) {
-  Simulator sim;
-  sim.run_until(10.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-  EXPECT_THROW(sim.run_until(5.0), PreconditionError);
 }
 
 TEST(SimulatorTest, StepExecutesBoundedNumberOfEvents) {

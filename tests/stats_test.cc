@@ -110,51 +110,6 @@ TEST(WilsonIntervalTest, RejectsBadInput) {
   EXPECT_THROW((void)wilson_interval(5, 4), PreconditionError);
 }
 
-TEST(HistogramTest, CountsFallIntoCorrectBuckets) {
-  Histogram histogram(0.0, 10.0, 10);
-  histogram.add(0.5);
-  histogram.add(5.5);
-  histogram.add(5.6);
-  histogram.add(9.9);
-  EXPECT_EQ(histogram.total(), 4u);
-  EXPECT_EQ(histogram.bucket(0), 1u);
-  EXPECT_EQ(histogram.bucket(5), 2u);
-  EXPECT_EQ(histogram.bucket(9), 1u);
-}
-
-TEST(HistogramTest, OutOfRangeIsClamped) {
-  Histogram histogram(0.0, 1.0, 4);
-  histogram.add(-5.0);
-  histogram.add(42.0);
-  EXPECT_EQ(histogram.bucket(0), 1u);
-  EXPECT_EQ(histogram.bucket(3), 1u);
-  EXPECT_EQ(histogram.total(), 2u);
-}
-
-TEST(HistogramTest, QuantileInterpolates) {
-  Histogram histogram(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) histogram.add(i + 0.5);
-  EXPECT_NEAR(histogram.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(histogram.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(histogram.quantile(0.0), 0.0, 1.5);
-}
-
-TEST(HistogramTest, BucketLoIsLinear) {
-  Histogram histogram(10.0, 20.0, 5);
-  EXPECT_DOUBLE_EQ(histogram.bucket_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(histogram.bucket_lo(4), 18.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-}
-
-TEST(HistogramTest, QuantileOfEmptyThrows) {
-  Histogram histogram(0.0, 1.0, 4);
-  EXPECT_THROW((void)histogram.quantile(0.5), PreconditionError);
-}
-
 TEST(P2QuantileTest, RejectsDegenerateQuantile) {
   EXPECT_THROW(P2Quantile(0.0), PreconditionError);
   EXPECT_THROW(P2Quantile(1.0), PreconditionError);
