@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "common/expect.h"
+#include "obs/trace.h"
 #include "redundancy/analysis.h"
 #include "redundancy/iterative.h"
 #include "redundancy/progressive.h"
+#include "redundancy/registry.h"
 #include "redundancy/traditional.h"
 
 namespace smartred::redundancy {
@@ -142,6 +148,71 @@ TEST(MonteCarloTest, BadReliabilityRejected) {
   const TraditionalFactory factory(3);
   EXPECT_THROW((void)run_binary(factory, -0.1, quick(10)), PreconditionError);
   EXPECT_THROW((void)run_binary(factory, 1.5, quick(10)), PreconditionError);
+}
+
+/// What a traced run_binary() recorded: events per kind and an FNV-1a
+/// digest over every field of every event.
+struct TraceSummary {
+  std::uint64_t waves = 0;
+  std::uint64_t votes = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t aborts = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+};
+
+TraceSummary traced_run(const std::string& spec, int job_cap) {
+  const auto factory = make_strategy(spec);
+  obs::Recorder recorder(1 << 16);
+  MonteCarloConfig config = quick(300, 11);
+  config.max_jobs_per_task = job_cap;
+  config.recorder = &recorder;
+  const MonteCarloResult result = run_binary(*factory, 0.7, config);
+  EXPECT_EQ(recorder.dropped(), 0u) << spec;
+  TraceSummary summary;
+  const auto fold = [&summary](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      summary.digest ^= (word >> (8 * byte)) & 0xffU;
+      summary.digest *= 0x100000001b3ULL;
+    }
+  };
+  recorder.for_each([&](const obs::TraceEvent& event) {
+    switch (event.kind) {
+      case obs::EventKind::kWaveDispatched: ++summary.waves; break;
+      case obs::EventKind::kVoteRecorded: ++summary.votes; break;
+      case obs::EventKind::kDecision: ++summary.decisions; break;
+      case obs::EventKind::kTaskAborted: ++summary.aborts; break;
+      default: ADD_FAILURE() << spec << ": unexpected event kind";
+    }
+    fold(std::bit_cast<std::uint64_t>(event.time));
+    fold(event.task);
+    fold(static_cast<std::uint64_t>(event.arg));
+    fold(event.node);
+    fold(event.rep);
+    fold(event.wave);
+    fold(static_cast<std::uint64_t>(event.kind));
+    fold(event.reason);
+  });
+  EXPECT_EQ(summary.votes, result.jobs_total) << spec;
+  EXPECT_EQ(summary.aborts, result.tasks_aborted) << spec;
+  EXPECT_EQ(summary.decisions + summary.aborts, result.tasks) << spec;
+  return summary;
+}
+
+TEST(MonteCarloTest, TracedRunsArePinned) {
+  // The job caps abort some tasks of each technique (the coded one in its
+  // third wave), so all four event kinds the sampler records appear.
+  const TraceSummary iterative = traced_run("iterative:d=4", 8);
+  EXPECT_EQ(iterative.waves, 680u);
+  EXPECT_EQ(iterative.votes, 1944u);
+  EXPECT_EQ(iterative.decisions, 193u);
+  EXPECT_EQ(iterative.aborts, 107u);
+  EXPECT_EQ(iterative.digest, 16569793913191259438ULL);
+  const TraceSummary coded = traced_run("coded:n=6,k=4,g=6", 14);
+  EXPECT_EQ(coded.waves, 708u);
+  EXPECT_EQ(coded.votes, 3456u);
+  EXPECT_EQ(coded.decisions, 102u);
+  EXPECT_EQ(coded.aborts, 198u);
+  EXPECT_EQ(coded.digest, 3628028183995502813ULL);
 }
 
 }  // namespace
