@@ -135,11 +135,10 @@ Outcome run_plain(redundancy::StrategyFactory& factory, const Scenario& s,
 
 /// Runs credibility-based fault tolerance with spot-checks + blacklisting +
 /// attacker identity churn.
-Outcome run_credibility(redundancy::CredibilityFactory& factory,
-                        const Scenario& s) {
+Outcome run_credibility(const redundancy::CredibilityFactory& factory,
+                        redundancy::ReputationBook& book, const Scenario& s) {
   rng::Stream rng(s.seed);
   PoolState pool = make_pool(s.pool_size, s.malicious_fraction, rng);
-  redundancy::ReputationBook& book = factory.book();
   std::uint64_t correct = 0;
   std::uint64_t jobs = 0;
   long long churns = 0;
@@ -185,9 +184,7 @@ Outcome run_credibility(redundancy::CredibilityFactory& factory,
           static_cast<double>(jobs) / static_cast<double>(s.tasks), churns};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   flags::Parser parser(
       "ablation_credibility",
       "A6 — credibility-based FT and adaptive replication vs. iterative "
@@ -233,7 +230,7 @@ int main(int argc, char** argv) {
     auto book =
         std::make_shared<redundancy::ReputationBook>(*malicious + 0.05);
     redundancy::CredibilityFactory factory(book, 0.99);
-    const Outcome outcome = run_credibility(factory, scenario);
+    const Outcome outcome = run_credibility(factory, *book, scenario);
     out.add_row({factory.name(), outcome.reliability, outcome.cost,
                  outcome.churns, std::string("spot-check history")});
   }
@@ -246,4 +243,11 @@ int main(int argc, char** argv) {
          "themselves); credibility-based FT pays spot-check overhead and "
          "still leaks errors while attackers churn identities.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return smartred::bench::guarded_main(
+      argc, argv, [&] { return run_bench(argc, argv); });
 }

@@ -30,9 +30,7 @@ mapreduce::MapReduceResult run_job(
   return engine.run(factory, failures);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   flags::Parser parser(
       "ablation_mapreduce",
       "A9 — end-to-end MapReduce output accuracy vs. redundancy budget "
@@ -104,4 +102,11 @@ int main(int argc, char** argv) {
                "yields the cleaner final histogram; corrupted tasks are what "
                "a Hadoop user would experience as silently wrong output.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return smartred::bench::guarded_main(
+      argc, argv, [&] { return run_bench(argc, argv); });
 }

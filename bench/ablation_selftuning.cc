@@ -34,9 +34,7 @@ redundancy::MonteCarloResult run(const redundancy::StrategyFactory& factory,
   return run_binary(factory, r, config);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   flags::Parser parser(
       "ablation_selftuning",
       "A8 — reliability-targeted self-tuning vs. fixed margins on pools of "
@@ -68,7 +66,7 @@ int main(int argc, char** argv) {
                    std::string(tuned.reliability() >= *target - 0.005 ? "yes"
                                                                       : "NO"),
                    tuned.cost_factor(), ideal_cost,
-                   static_cast<long long>(self_tuning.current_margin())});
+                   static_cast<long long>(self_tuning.prototype().margin())});
 
     // A fixed margin chosen for the *wrong* pool (r = 0.7 assumed).
     const int assumed_d =
@@ -96,11 +94,18 @@ int main(int argc, char** argv) {
     drift.add_row({forgetting == 1.0 ? std::string("no forgetting")
                                      : std::string("forgetting 0.999"),
                    phase1.reliability(), phase2.reliability(),
-                   static_cast<long long>(factory.current_margin())});
+                   static_cast<long long>(factory.prototype().margin())});
   }
   bench::emit(drift, *flags.csv, "drift");
   std::cout << "\nReading: the forgetting estimator raises the margin after "
                "the pool degrades and recovers the target; a frozen estimate "
                "keeps the stale (too small) margin and misses it.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return smartred::bench::guarded_main(
+      argc, argv, [&] { return run_bench(argc, argv); });
 }

@@ -35,9 +35,7 @@ void print_worked_examples(double r) {
             << "   (paper: > 0.97, rounded)\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
       "fig3_analytical",
       "Figure 3 — reliability vs. cost factor for TR/PR/IR (closed forms)");
@@ -74,4 +72,11 @@ int main(int argc, char** argv) {
 
   print_worked_examples(*r);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return smartred::bench::guarded_main(
+      argc, argv, [&] { return run_bench(argc, argv); });
 }

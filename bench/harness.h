@@ -497,7 +497,9 @@ inline void shutdown_signal_handler(int sig) {
 /// `body()`, and turns an interrupted or unresumable sweep into a clean
 /// nonzero exit. On interruption the stderr report names the exact resume
 /// command. TelemetrySession destructors run during the unwinding, so
-/// --trace/--metrics outputs of completed points are still written.
+/// --trace/--metrics outputs of completed points are still written. A
+/// mistyped flag or spec prints its message and exits 2; a checkpoint
+/// error exits 1.
 template <typename Body>
 int guarded_main(int argc, char** argv, Body&& body) {
   std::signal(SIGINT, &shutdown_signal_handler);
@@ -525,6 +527,9 @@ int guarded_main(int argc, char** argv, Body&& body) {
     std::cerr << "checkpoint error: " << error.what() << "\n";
     return 1;
   } catch (const spec::SpecError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 2;
+  } catch (const flags::ParseError& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;
   }

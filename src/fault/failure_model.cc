@@ -59,7 +59,7 @@ int CorrelatedClusters::cluster_of(redundancy::NodeId node) const {
   return static_cast<int>(node % static_cast<redundancy::NodeId>(clusters_));
 }
 
-double CorrelatedClusters::effective_reliability() {
+double CorrelatedClusters::effective_reliability() const {
   return (1.0 - cluster_failure_prob_) * assigner_.mean();
 }
 

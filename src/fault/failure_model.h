@@ -50,8 +50,6 @@ class ByzantineCollusion final : public FailureModel {
                                  redundancy::ResultValue correct,
                                  rng::Stream& rng) override;
 
-  [[nodiscard]] ReliabilityAssigner& assigner() { return assigner_; }
-
  private:
   ReliabilityAssigner assigner_;
 };
@@ -95,7 +93,7 @@ class CorrelatedClusters final : public FailureModel {
 
   /// Effective per-job reliability implied by the layered model:
   /// (1 − q) * r_independent.
-  [[nodiscard]] double effective_reliability();
+  [[nodiscard]] double effective_reliability() const;
 
  private:
   ReliabilityAssigner assigner_;

@@ -50,17 +50,7 @@ Decision AdaptiveReplication::decide(std::span<const Vote> votes) {
   return Decision::dispatch(quorum_ - tally.leader_count());
 }
 
-AdaptiveFactory::AdaptiveFactory(std::shared_ptr<TrustBook> book, int quorum)
-    : book_(std::move(book)), quorum_(quorum) {
-  SMARTRED_EXPECT(book_ != nullptr, "a trust book is required");
-  SMARTRED_EXPECT(quorum >= 2, "replication quorum must be >= 2");
-}
-
-std::unique_ptr<RedundancyStrategy> AdaptiveFactory::make() const {
-  return std::make_unique<AdaptiveReplication>(book_, quorum_);
-}
-
-std::string AdaptiveFactory::name() const {
+std::string AdaptiveReplication::name() const {
   std::ostringstream out;
   out << "adaptive(trust=" << book_->threshold() << ",quorum=" << quorum_
       << ")";

@@ -50,31 +50,22 @@ class TrustBook {
 /// replicates until some value has `quorum` matching votes.
 class AdaptiveReplication final : public RedundancyStrategy {
  public:
+  /// All mutable state lives in the shared book, which the substrate
+  /// updates regardless of how many instances exist.
+  static constexpr bool kStateless = true;
+
   /// Requires quorum >= 2.
   AdaptiveReplication(std::shared_ptr<const TrustBook> book, int quorum);
 
   Decision decide(std::span<const Vote> votes) override;
+
+  [[nodiscard]] std::string name() const;
 
  private:
   std::shared_ptr<const TrustBook> book_;
   int quorum_;
 };
 
-class AdaptiveFactory final : public StrategyFactory {
- public:
-  AdaptiveFactory(std::shared_ptr<TrustBook> book, int quorum);
-
-  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override;
-  /// Per-task stateless: all mutable state lives in the shared book, which
-  /// the substrate updates regardless of how many instances exist.
-  [[nodiscard]] bool stateless() const override { return true; }
-  [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] TrustBook& book() const { return *book_; }
-
- private:
-  std::shared_ptr<TrustBook> book_;
-  int quorum_;
-};
+using AdaptiveFactory = PrototypeFactory<AdaptiveReplication>;
 
 }  // namespace smartred::redundancy

@@ -156,16 +156,18 @@ Codec::Decoded Codec::decode(std::span<const Share> shares) const {
 }
 
 CodedConfig CodedConfig::normalized() const {
+  static_assert(kMaxCodedPieces == 64, "the message below names the cap");
+  SMARTRED_EXPECT(n >= 1 && n <= kMaxCodedPieces,
+                  "coded redundancy needs 1 <= n <= 64");
+  SMARTRED_EXPECT(k >= 1 && k <= n, "coded redundancy needs 1 <= k <= n");
+  SMARTRED_EXPECT(g >= 1 && n % g == 0,
+                  "coded redundancy needs a wave size g that divides n");
+  SMARTRED_EXPECT(d >= 1, "coded redundancy needs margin d >= 1");
+  SMARTRED_EXPECT(v >= -1, "coded redundancy needs verify overhead v >= 0 "
+                           "(or -1 for the default)");
   CodedConfig out = *this;
-  if (out.v < 0) out.v = std::min(1, out.n - out.k);
-  SMARTRED_EXPECT(out.n >= 1 && out.n <= kMaxCodedPieces,
-                  "coded redundancy needs 1 <= n <= kMaxCodedPieces");
-  SMARTRED_EXPECT(out.k >= 1 && out.k <= out.n,
-                  "coded redundancy needs 1 <= k <= n");
-  SMARTRED_EXPECT(out.g >= 1 && out.n % out.g == 0,
-                  "coded redundancy needs a wave size g dividing n");
-  SMARTRED_EXPECT(out.d >= 1, "coded redundancy needs margin d >= 1");
-  SMARTRED_EXPECT(out.k + out.v <= out.n,
+  if (out.v < 0) out.v = std::min(1, n - k);
+  SMARTRED_EXPECT(k + out.v <= n,
                   "coded redundancy needs verify overhead v with k+v <= n");
   return out;
 }

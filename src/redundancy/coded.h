@@ -142,7 +142,7 @@ struct CodedConfig {
   int v = -1;  ///< -1 = default min(1, n-k)
 
   /// Resolves the v = -1 default and validates; throws via SMARTRED_EXPECT
-  /// on violation. make_strategy performs the same checks with SpecError.
+  /// on violation (make_strategy reports it as a SpecError).
   [[nodiscard]] CodedConfig normalized() const;
 };
 
@@ -184,8 +184,6 @@ class CodedFactory final : public StrategyFactory {
   }
   [[nodiscard]] bool eager() const override { return true; }
   [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] const CodedConfig& config() const { return config_; }
 
  private:
   /// Round-robin piece schedule over the codec: ordinal j -> piece j mod n.

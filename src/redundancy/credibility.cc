@@ -89,19 +89,7 @@ Decision CredibilityStrategy::decide(std::span<const Vote> votes) {
   return Decision::dispatch(1);
 }
 
-CredibilityFactory::CredibilityFactory(std::shared_ptr<ReputationBook> book,
-                                       double threshold)
-    : book_(std::move(book)), threshold_(threshold) {
-  SMARTRED_EXPECT(book_ != nullptr, "a reputation book is required");
-  SMARTRED_EXPECT(threshold >= 0.5 && threshold < 1.0,
-                  "threshold must be in [0.5, 1)");
-}
-
-std::unique_ptr<RedundancyStrategy> CredibilityFactory::make() const {
-  return std::make_unique<CredibilityStrategy>(book_, threshold_);
-}
-
-std::string CredibilityFactory::name() const {
+std::string CredibilityStrategy::name() const {
   std::ostringstream out;
   out << "credibility(threshold=" << threshold_ << ")";
   return out.str();

@@ -63,8 +63,11 @@ class ReputationBook {
 /// group reaches the threshold; otherwise dispatches one more job.
 class CredibilityStrategy final : public RedundancyStrategy {
  public:
-  /// The book outlives every strategy instance (the factory keeps it
-  /// alive). Requires threshold in [0.5, 1).
+  /// All mutable state lives in the shared book, which the substrate
+  /// updates regardless of how many instances exist.
+  static constexpr bool kStateless = true;
+
+  /// Requires threshold in [0.5, 1).
   CredibilityStrategy(std::shared_ptr<const ReputationBook> book,
                       double threshold);
 
@@ -77,28 +80,13 @@ class CredibilityStrategy final : public RedundancyStrategy {
   [[nodiscard]] double posterior(std::span<const Vote> votes,
                                  ResultValue value) const;
 
+  [[nodiscard]] std::string name() const;
+
  private:
   std::shared_ptr<const ReputationBook> book_;
   double threshold_;
 };
 
-class CredibilityFactory final : public StrategyFactory {
- public:
-  CredibilityFactory(std::shared_ptr<ReputationBook> book, double threshold);
-
-  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override;
-  /// Per-task stateless: all mutable state lives in the shared book, which
-  /// the substrate updates regardless of how many instances exist.
-  [[nodiscard]] bool stateless() const override { return true; }
-  [[nodiscard]] std::string name() const override;
-
-  /// The shared, mutable book the driving substrate feeds spot-check
-  /// outcomes into.
-  [[nodiscard]] ReputationBook& book() const { return *book_; }
-
- private:
-  std::shared_ptr<ReputationBook> book_;
-  double threshold_;
-};
+using CredibilityFactory = PrototypeFactory<CredibilityStrategy>;
 
 }  // namespace smartred::redundancy

@@ -20,15 +20,7 @@ Decision IterativeRedundancy::decide(std::span<const Vote> votes) {
   return Decision::dispatch(d_ - margin);
 }
 
-IterativeFactory::IterativeFactory(int d) : d_(d) {
-  SMARTRED_EXPECT(d >= 1, "iterative redundancy needs margin d >= 1");
-}
-
-std::unique_ptr<RedundancyStrategy> IterativeFactory::make() const {
-  return std::make_unique<IterativeRedundancy>(d_);
-}
-
-std::string IterativeFactory::name() const {
+std::string IterativeRedundancy::name() const {
   return "iterative(d=" + std::to_string(d_) + ")";
 }
 

@@ -25,29 +25,22 @@ namespace smartred::redundancy {
 
 class IterativeRedundancy final : public RedundancyStrategy {
  public:
+  /// Pure function of the vote tally: one instance serves any task mix.
+  static constexpr bool kStateless = true;
+
   /// Requires margin d >= 1. (d = 1 means: accept the first result whenever
   /// one value leads, i.e. no redundancy until a conflict appears.)
   explicit IterativeRedundancy(int d);
 
   Decision decide(std::span<const Vote> votes) override;
 
- private:
-  int d_;
-};
-
-class IterativeFactory final : public StrategyFactory {
- public:
-  explicit IterativeFactory(int d);
-
-  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override;
-  /// Pure function of the vote tally: one instance serves any task mix.
-  [[nodiscard]] bool stateless() const override { return true; }
-  [[nodiscard]] std::string name() const override;
-
   [[nodiscard]] int d() const { return d_; }
+  [[nodiscard]] std::string name() const;
 
  private:
   int d_;
 };
+
+using IterativeFactory = PrototypeFactory<IterativeRedundancy>;
 
 }  // namespace smartred::redundancy

@@ -67,20 +67,7 @@ Decision IterativeNaive::decide(std::span<const Vote> votes) {
   return Decision::dispatch(required_majority(minority) - majority);
 }
 
-IterativeNaiveFactory::IterativeNaiveFactory(double reliability,
-                                             double confidence_threshold)
-    : r_(reliability), threshold_(confidence_threshold) {
-  SMARTRED_EXPECT(reliability > 0.5 && reliability < 1.0,
-                  "naive iterative redundancy needs r in (0.5, 1)");
-  SMARTRED_EXPECT(confidence_threshold >= 0.5 && confidence_threshold < 1.0,
-                  "confidence threshold must be in [0.5, 1)");
-}
-
-std::unique_ptr<RedundancyStrategy> IterativeNaiveFactory::make() const {
-  return std::make_unique<IterativeNaive>(r_, threshold_);
-}
-
-std::string IterativeNaiveFactory::name() const {
+std::string IterativeNaive::name() const {
   std::ostringstream out;
   out << "iterative-naive(r=" << r_ << ",R=" << threshold_ << ")";
   return out.str();

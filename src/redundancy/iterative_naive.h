@@ -24,6 +24,9 @@ namespace smartred::redundancy {
 
 class IterativeNaive final : public RedundancyStrategy {
  public:
+  /// Pure function of the vote tally: one instance serves any task mix.
+  static constexpr bool kStateless = true;
+
   /// Requires r in (0.5, 1) — the Bayesian update is only meaningful when a
   /// node is right more often than wrong — and R in [0.5, 1).
   IterativeNaive(double reliability, double confidence_threshold);
@@ -39,23 +42,13 @@ class IterativeNaive final : public RedundancyStrategy {
   /// two methods the paper names). Requires b >= 0.
   [[nodiscard]] int required_majority(int minority) const;
 
- private:
-  double r_;
-  double threshold_;
-};
-
-class IterativeNaiveFactory final : public StrategyFactory {
- public:
-  IterativeNaiveFactory(double reliability, double confidence_threshold);
-
-  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override;
-  /// Pure function of the vote tally: one instance serves any task mix.
-  [[nodiscard]] bool stateless() const override { return true; }
-  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string name() const;
 
  private:
   double r_;
   double threshold_;
 };
+
+using IterativeNaiveFactory = PrototypeFactory<IterativeNaive>;
 
 }  // namespace smartred::redundancy

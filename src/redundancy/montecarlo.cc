@@ -38,6 +38,23 @@ namespace {
 /// Sweep-progress sampling stride, in tasks.
 constexpr std::uint64_t kSampleEvery = 1024;
 
+/// Records one event of `task`, which has consulted the strategy for
+/// `wave` waves so far. The sampler has no clock, so the task index stands
+/// in for the time.
+void trace(obs::Recorder& recorder, obs::EventKind kind, std::uint64_t task,
+           int wave, std::int64_t arg, NodeId node = 0,
+           Decision::Reason reason = Decision::Reason::kNone) {
+  recorder.record(obs::TraceEvent{
+      .time = static_cast<double>(task),
+      .task = task,
+      .arg = arg,
+      .node = node,
+      .wave = static_cast<std::uint32_t>(wave),
+      .kind = kind,
+      .reason = static_cast<std::uint8_t>(reason),
+  });
+}
+
 // The wave loop, templated on the vote source so per-vote calls inline at
 // the call site: run_binary's batched sources below are plain structs, so
 // the hot path pays neither std::function dispatch per vote nor a raw
@@ -76,13 +93,8 @@ MonteCarloResult run_loop(const StrategyFactory& factory, Source& source,
       if (decision.done()) break;
       ++waves;
       if (recorder != nullptr) {
-        recorder->record(obs::TraceEvent{
-            .time = static_cast<double>(task),
-            .task = task,
-            .arg = decision.jobs,
-            .wave = static_cast<std::uint32_t>(waves),
-            .kind = obs::EventKind::kWaveDispatched,
-        });
+        trace(*recorder, obs::EventKind::kWaveDispatched, task, waves,
+              decision.jobs);
       }
       const int already = static_cast<int>(votes.size());
       const int wave =
@@ -90,15 +102,8 @@ MonteCarloResult run_loop(const StrategyFactory& factory, Source& source,
       for (int j = 0; j < wave; ++j) {
         votes.push_back(source(task, already + j, task_rng));
         if (recorder != nullptr) {
-          const Vote& vote = votes.back();
-          recorder->record(obs::TraceEvent{
-              .time = static_cast<double>(task),
-              .task = task,
-              .arg = vote.value,
-              .node = static_cast<std::uint32_t>(vote.node),
-              .wave = static_cast<std::uint32_t>(waves),
-              .kind = obs::EventKind::kVoteRecorded,
-          });
+          trace(*recorder, obs::EventKind::kVoteRecorded, task, waves,
+                votes.back().value, votes.back().node);
         }
       }
       if (wave < decision.jobs) {
@@ -116,26 +121,13 @@ MonteCarloResult run_loop(const StrategyFactory& factory, Source& source,
       // An aborted task never accepts, hence counts incorrect.
       ++result.tasks_aborted;
       if (recorder != nullptr) {
-        recorder->record(obs::TraceEvent{
-            .time = static_cast<double>(task),
-            .task = task,
-            .arg = jobs,
-            .wave = static_cast<std::uint32_t>(waves),
-            .kind = obs::EventKind::kTaskAborted,
-            .reason = static_cast<std::uint8_t>(
-                Decision::Reason::kBudgetExhausted),
-        });
+        trace(*recorder, obs::EventKind::kTaskAborted, task, waves, jobs, 0,
+              Decision::Reason::kBudgetExhausted);
       }
     } else {
       if (recorder != nullptr) {
-        recorder->record(obs::TraceEvent{
-            .time = static_cast<double>(task),
-            .task = task,
-            .arg = decision.value,
-            .wave = static_cast<std::uint32_t>(waves),
-            .kind = obs::EventKind::kDecision,
-            .reason = static_cast<std::uint8_t>(decision.reason),
-        });
+        trace(*recorder, obs::EventKind::kDecision, task, waves,
+              decision.value, 0, decision.reason);
       }
       if (decision.value == correct_value) ++result.tasks_correct;
     }

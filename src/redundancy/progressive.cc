@@ -3,7 +3,8 @@
 namespace smartred::redundancy {
 
 ProgressiveRedundancy::ProgressiveRedundancy(int k) : k_(k) {
-  SMARTRED_EXPECT(k >= 1 && k % 2 == 1, "progressive redundancy needs odd k");
+  SMARTRED_EXPECT(k >= 1 && k % 2 == 1,
+                  "progressive redundancy needs an odd k >= 1");
 }
 
 Decision ProgressiveRedundancy::decide(std::span<const Vote> votes) {
@@ -17,15 +18,7 @@ Decision ProgressiveRedundancy::decide(std::span<const Vote> votes) {
   return Decision::dispatch(quorum() - tally.leader_count());
 }
 
-ProgressiveFactory::ProgressiveFactory(int k) : k_(k) {
-  SMARTRED_EXPECT(k >= 1 && k % 2 == 1, "progressive redundancy needs odd k");
-}
-
-std::unique_ptr<RedundancyStrategy> ProgressiveFactory::make() const {
-  return std::make_unique<ProgressiveRedundancy>(k_);
-}
-
-std::string ProgressiveFactory::name() const {
+std::string ProgressiveRedundancy::name() const {
   return "progressive(k=" + std::to_string(k_) + ")";
 }
 

@@ -15,31 +15,23 @@ namespace smartred::redundancy {
 
 class ProgressiveRedundancy final : public RedundancyStrategy {
  public:
+  /// Pure function of the vote tally: one instance serves any task mix.
+  static constexpr bool kStateless = true;
+
   /// Requires k odd and >= 1.
   explicit ProgressiveRedundancy(int k);
 
   Decision decide(std::span<const Vote> votes) override;
 
+  [[nodiscard]] int k() const { return k_; }
   /// The consensus quorum (k+1)/2.
   [[nodiscard]] int quorum() const { return (k_ + 1) / 2; }
+  [[nodiscard]] std::string name() const;
 
  private:
   int k_;
 };
 
-class ProgressiveFactory final : public StrategyFactory {
- public:
-  explicit ProgressiveFactory(int k);
-
-  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override;
-  /// Pure function of the vote tally: one instance serves any task mix.
-  [[nodiscard]] bool stateless() const override { return true; }
-  [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] int k() const { return k_; }
-
- private:
-  int k_;
-};
+using ProgressiveFactory = PrototypeFactory<ProgressiveRedundancy>;
 
 }  // namespace smartred::redundancy

@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "common/expect.h"
 #include "common/spec.h"
 #include "redundancy/adaptive.h"
 #include "redundancy/coded.h"
@@ -30,12 +31,10 @@ constexpr std::string_view kTechniqueNames[] = {
     "adaptive",    "credibility", "coded",
 };
 
-}  // namespace
-
-std::shared_ptr<StrategyFactory> make_strategy(std::string_view raw_spec) {
-  const auto [technique, body] = spec::split(raw_spec);
-  Params params("strategy spec '" + std::string(technique) + "'", body);
-
+/// The factory `technique` names, built from `params`. Parameter values
+/// reach the strategy's constructor unchecked: it is their only check.
+std::shared_ptr<StrategyFactory> build(std::string_view technique,
+                                       Params& params) {
   if (technique == "traditional" || technique == "tr") {
     const int k = params.get_int("k");
     params.finish("k");
@@ -100,33 +99,28 @@ std::shared_ptr<StrategyFactory> make_strategy(std::string_view raw_spec) {
     config.d = params.get_int("d", 1);
     config.v = params.get_int("v", -1);
     params.finish("n, k, g, d, v");
-    if (config.n < 1 || config.n > kMaxCodedPieces) {
-      params.fail("n must be in [1, " + std::to_string(kMaxCodedPieces) +
-                  "], got " + std::to_string(config.n));
-    }
-    if (config.k < 1 || config.k > config.n) {
-      params.fail("k must satisfy 1 <= k <= n, got k=" +
-                  std::to_string(config.k) + " with n=" +
-                  std::to_string(config.n));
-    }
-    if (config.g < 1 || config.n % config.g != 0) {
-      params.fail("wave size g must divide n, got g=" +
-                  std::to_string(config.g) + " with n=" +
-                  std::to_string(config.n));
-    }
-    if (config.d < 1) {
-      params.fail("per-piece margin d must be >= 1, got " +
-                  std::to_string(config.d));
-    }
-    if (config.v < -1 || (config.v >= 0 && config.k + config.v > config.n)) {
-      params.fail("verify overhead v must satisfy 0 <= v and k+v <= n, got "
-                  "v=" + std::to_string(config.v));
-    }
     return std::make_shared<CodedFactory>(config);
   }
   throw SpecError("unknown redundancy technique '" + std::string(technique) +
                   "' (known: " + kTechniqueList + ")" +
                   did_you_mean(technique, kTechniqueNames));
+}
+
+}  // namespace
+
+std::shared_ptr<StrategyFactory> make_strategy(std::string_view raw_spec) {
+  const auto [technique, body] = spec::split(raw_spec);
+  Params params("strategy spec '" + std::string(technique) + "'", body);
+  try {
+    return build(technique, params);
+  } catch (const PreconditionError& error) {
+    // An out-of-range value, rejected by the constructor that checks it.
+    std::string message = "strategy spec '";
+    message += raw_spec;
+    message += "': ";
+    message += error.reason();
+    throw SpecError(message);
+  }
 }
 
 }  // namespace smartred::redundancy

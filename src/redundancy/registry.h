@@ -28,7 +28,8 @@ namespace smartred::redundancy {
 using SpecError = spec::SpecError;
 
 /// Builds a factory from a spec string. Throws SpecError on unknown
-/// technique, unknown/duplicate/missing keys, or unparsable values.
+/// technique, unknown/duplicate/missing keys, unparsable values, or a value
+/// the strategy's constructor rejects (the message then names the spec).
 [[nodiscard]] std::shared_ptr<StrategyFactory> make_strategy(
     std::string_view spec);
 

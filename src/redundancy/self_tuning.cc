@@ -8,19 +8,6 @@
 namespace smartred::redundancy {
 namespace {
 
-void check_config(const SelfTuningConfig& config) {
-  SMARTRED_EXPECT(config.target_reliability >= 0.5 &&
-                      config.target_reliability < 1.0,
-                  "target reliability must be in [0.5, 1)");
-  SMARTRED_EXPECT(config.initial_margin >= 1, "initial margin must be >= 1");
-  SMARTRED_EXPECT(config.warmup_votes >= 1, "warmup must be >= 1 vote");
-  SMARTRED_EXPECT(config.max_margin >= config.initial_margin,
-                  "max margin must admit the initial margin");
-  SMARTRED_EXPECT(config.min_usable_estimate > 0.5 &&
-                      config.min_usable_estimate < 1.0,
-                  "usable-estimate floor must be in (0.5, 1)");
-}
-
 /// The margin to use given the estimator's current state. Uses the Wilson
 /// *lower* confidence bound of r̂, not the point estimate: while the
 /// estimate is noisy the derived margin stays conservative (a briefly
@@ -44,12 +31,19 @@ int derive_margin(const ReliabilityEstimator& estimator,
 
 }  // namespace
 
-SelfTuningIterative::SelfTuningIterative(
-    std::shared_ptr<ReliabilityEstimator> estimator,
-    const SelfTuningConfig& config)
-    : estimator_(std::move(estimator)), config_(config) {
-  SMARTRED_EXPECT(estimator_ != nullptr, "an estimator is required");
-  check_config(config);
+SelfTuningIterative::SelfTuningIterative(const SelfTuningConfig& config)
+    : estimator_(std::make_shared<ReliabilityEstimator>(config.forgetting)),
+      config_(config) {
+  SMARTRED_EXPECT(config.target_reliability >= 0.5 &&
+                      config.target_reliability < 1.0,
+                  "target reliability must be in [0.5, 1)");
+  SMARTRED_EXPECT(config.initial_margin >= 1, "initial margin must be >= 1");
+  SMARTRED_EXPECT(config.warmup_votes >= 1, "warmup must be >= 1 vote");
+  SMARTRED_EXPECT(config.max_margin >= config.initial_margin,
+                  "max margin must admit the initial margin");
+  SMARTRED_EXPECT(config.min_usable_estimate > 0.5 &&
+                      config.min_usable_estimate < 1.0,
+                  "usable-estimate floor must be in (0.5, 1)");
 }
 
 int SelfTuningIterative::margin() const {
@@ -90,21 +84,7 @@ Decision SelfTuningIterative::decide(std::span<const Vote> votes) {
   return Decision::dispatch(target_margin - current);
 }
 
-SelfTuningFactory::SelfTuningFactory(const SelfTuningConfig& config)
-    : config_(config),
-      estimator_(std::make_shared<ReliabilityEstimator>(config.forgetting)) {
-  check_config(config);
-}
-
-std::unique_ptr<RedundancyStrategy> SelfTuningFactory::make() const {
-  return std::make_unique<SelfTuningIterative>(estimator_, config_);
-}
-
-int SelfTuningFactory::current_margin() const {
-  return derive_margin(*estimator_, config_);
-}
-
-std::string SelfTuningFactory::name() const {
+std::string SelfTuningIterative::name() const {
   std::ostringstream out;
   out << "self-tuning(R=" << config_.target_reliability << ")";
   return out.str();

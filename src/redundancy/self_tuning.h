@@ -60,8 +60,12 @@ struct SelfTuningConfig {
 ///    created with.
 class SelfTuningIterative final : public RedundancyStrategy {
  public:
-  SelfTuningIterative(std::shared_ptr<ReliabilityEstimator> estimator,
-                      const SelfTuningConfig& config);
+  /// Per-task fields (first-wave size, margin floor): each task needs its
+  /// own instance.
+  static constexpr bool kStateless = false;
+
+  /// Creates the estimator that every copy of this instance shares.
+  explicit SelfTuningIterative(const SelfTuningConfig& config);
 
   Decision decide(std::span<const Vote> votes) override;
 
@@ -75,8 +79,16 @@ class SelfTuningIterative final : public RedundancyStrategy {
     reported_ = false;
   }
 
-  /// The margin a decision made right now would use.
+  /// The margin a decision made right now would use; for an instance that
+  /// has not decided yet, the margin the next task would use.
   [[nodiscard]] int margin() const;
+
+  /// The shared estimator (e.g. to pre-seed it or read r̂).
+  [[nodiscard]] ReliabilityEstimator& estimator() const {
+    return *estimator_;
+  }
+
+  [[nodiscard]] std::string name() const;
 
  private:
   std::shared_ptr<ReliabilityEstimator> estimator_;
@@ -86,24 +98,6 @@ class SelfTuningIterative final : public RedundancyStrategy {
   bool reported_ = false;
 };
 
-class SelfTuningFactory final : public StrategyFactory {
- public:
-  explicit SelfTuningFactory(const SelfTuningConfig& config);
-
-  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override;
-  [[nodiscard]] std::string name() const override;
-
-  /// The margin the next task would use given the current estimate.
-  [[nodiscard]] int current_margin() const;
-
-  /// The shared estimator (e.g. to pre-seed it or read r̂).
-  [[nodiscard]] ReliabilityEstimator& estimator() const {
-    return *estimator_;
-  }
-
- private:
-  SelfTuningConfig config_;
-  std::shared_ptr<ReliabilityEstimator> estimator_;
-};
+using SelfTuningFactory = PrototypeFactory<SelfTuningIterative>;
 
 }  // namespace smartred::redundancy

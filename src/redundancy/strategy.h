@@ -14,9 +14,11 @@
 // why votes carry node ids.
 #pragma once
 
+#include <concepts>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "redundancy/types.h"
 
@@ -137,6 +139,7 @@ class RedundancyStrategy {
 
 /// Creates per-task strategy instances. A factory also names the technique
 /// and reports its configured parameter for logging and table output.
+/// PrototypeFactory below serves every technique but the coded one.
 class StrategyFactory {
  public:
   virtual ~StrategyFactory() = default;
@@ -149,7 +152,7 @@ class StrategyFactory {
   /// substrate updates independently). A concurrent substrate may then
   /// consult ONE instance for any number of in-flight tasks instead of
   /// allocating one per task. Stateful strategies (self-tuning: first-wave
-  /// size, margin floor) must keep the default `false`; sequential drivers
+  /// size, margin floor) must answer `false`; sequential drivers
   /// can still reuse a single instance via RedundancyStrategy::reset().
   [[nodiscard]] virtual bool stateless() const { return false; }
 
@@ -176,6 +179,40 @@ class StrategyFactory {
   StrategyFactory() = default;
   StrategyFactory(const StrategyFactory&) = default;
   StrategyFactory& operator=(const StrategyFactory&) = default;
+};
+
+/// The factory of a technique whose strategy is a copyable value: it holds
+/// one prototype, checked once by the strategy's own constructor, and
+/// make() returns a copy of it. `Strategy` declares
+/// `static constexpr bool kStateless` (the answer of stateless()) and
+/// `std::string name() const`. Each technique names its instantiation, e.g.
+/// `using IterativeFactory = PrototypeFactory<IterativeRedundancy>`.
+/// CodedFactory is written by hand: it alone supplies an encoder and asks
+/// for eager consultation.
+template <typename Strategy>
+class PrototypeFactory final : public StrategyFactory {
+ public:
+  /// Builds the prototype from the strategy's constructor arguments.
+  template <typename... Args>
+    requires std::constructible_from<Strategy, Args...>
+  explicit PrototypeFactory(Args&&... args)
+      : prototype_(std::forward<Args>(args)...) {}
+
+  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override {
+    return std::make_unique<Strategy>(prototype_);
+  }
+  [[nodiscard]] bool stateless() const override {
+    return Strategy::kStateless;
+  }
+  [[nodiscard]] std::string name() const override {
+    return prototype_.name();
+  }
+
+  /// The instance every make() copies: its parameters and shared books.
+  [[nodiscard]] const Strategy& prototype() const { return prototype_; }
+
+ private:
+  Strategy prototype_;
 };
 
 }  // namespace smartred::redundancy

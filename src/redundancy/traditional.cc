@@ -3,7 +3,8 @@
 namespace smartred::redundancy {
 
 TraditionalRedundancy::TraditionalRedundancy(int k) : k_(k) {
-  SMARTRED_EXPECT(k >= 1 && k % 2 == 1, "traditional redundancy needs odd k");
+  SMARTRED_EXPECT(k >= 1 && k % 2 == 1,
+                  "traditional redundancy needs an odd k >= 1");
 }
 
 Decision TraditionalRedundancy::decide(std::span<const Vote> votes) {
@@ -19,15 +20,7 @@ Decision TraditionalRedundancy::decide(std::span<const Vote> votes) {
   return Decision::accept(tally.leader(), Decision::Reason::kMajority);
 }
 
-TraditionalFactory::TraditionalFactory(int k) : k_(k) {
-  SMARTRED_EXPECT(k >= 1 && k % 2 == 1, "traditional redundancy needs odd k");
-}
-
-std::unique_ptr<RedundancyStrategy> TraditionalFactory::make() const {
-  return std::make_unique<TraditionalRedundancy>(k_);
-}
-
-std::string TraditionalFactory::name() const {
+std::string TraditionalRedundancy::name() const {
   return "traditional(k=" + std::to_string(k_) + ")";
 }
 

@@ -12,28 +12,21 @@ namespace smartred::redundancy {
 
 class TraditionalRedundancy final : public RedundancyStrategy {
  public:
+  /// Pure function of the vote tally: one instance serves any task mix.
+  static constexpr bool kStateless = true;
+
   /// Requires k odd and >= 1 (k = 1 means no redundancy).
   explicit TraditionalRedundancy(int k);
 
   Decision decide(std::span<const Vote> votes) override;
 
- private:
-  int k_;
-};
-
-class TraditionalFactory final : public StrategyFactory {
- public:
-  explicit TraditionalFactory(int k);
-
-  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override;
-  /// Pure function of the vote tally: one instance serves any task mix.
-  [[nodiscard]] bool stateless() const override { return true; }
-  [[nodiscard]] std::string name() const override;
-
   [[nodiscard]] int k() const { return k_; }
+  [[nodiscard]] std::string name() const;
 
  private:
   int k_;
 };
+
+using TraditionalFactory = PrototypeFactory<TraditionalRedundancy>;
 
 }  // namespace smartred::redundancy

@@ -12,13 +12,6 @@ constexpr double kThresholdSlack = 1e-12;
 
 double logit(double p) { return std::log(p) - std::log1p(-p); }
 
-void check_params(double typical_reliability, double threshold) {
-  SMARTRED_EXPECT(typical_reliability > 0.5 && typical_reliability < 1.0,
-                  "typical reliability must be in (0.5, 1)");
-  SMARTRED_EXPECT(threshold >= 0.5 && threshold < 1.0,
-                  "threshold must be in [0.5, 1)");
-}
-
 }  // namespace
 
 WeightedIterative::WeightedIterative(ReliabilityLookup lookup,
@@ -28,7 +21,10 @@ WeightedIterative::WeightedIterative(ReliabilityLookup lookup,
       typical_reliability_(typical_reliability),
       threshold_(threshold) {
   SMARTRED_EXPECT(lookup_ != nullptr, "a reliability lookup is required");
-  check_params(typical_reliability, threshold);
+  SMARTRED_EXPECT(typical_reliability > 0.5 && typical_reliability < 1.0,
+                  "typical reliability must be in (0.5, 1)");
+  SMARTRED_EXPECT(threshold >= 0.5 && threshold < 1.0,
+                  "threshold must be in [0.5, 1)");
 }
 
 double WeightedIterative::llr(std::span<const Vote> votes,
@@ -87,22 +83,7 @@ Decision WeightedIterative::decide(std::span<const Vote> votes) {
   return Decision::dispatch(wave);
 }
 
-WeightedIterativeFactory::WeightedIterativeFactory(ReliabilityLookup lookup,
-                                                   double typical_reliability,
-                                                   double threshold)
-    : lookup_(std::move(lookup)),
-      typical_reliability_(typical_reliability),
-      threshold_(threshold) {
-  SMARTRED_EXPECT(lookup_ != nullptr, "a reliability lookup is required");
-  check_params(typical_reliability, threshold);
-}
-
-std::unique_ptr<RedundancyStrategy> WeightedIterativeFactory::make() const {
-  return std::make_unique<WeightedIterative>(lookup_, typical_reliability_,
-                                             threshold_);
-}
-
-std::string WeightedIterativeFactory::name() const {
+std::string WeightedIterative::name() const {
   std::ostringstream out;
   out << "weighted-iterative(R=" << threshold_ << ")";
   return out.str();

@@ -30,6 +30,10 @@ using ReliabilityLookup = std::function<double(NodeId)>;
 
 class WeightedIterative final : public RedundancyStrategy {
  public:
+  /// decide() reads only the votes and the immutable lookup, so one
+  /// instance serves any task mix.
+  static constexpr bool kStateless = true;
+
   /// `lookup` supplies per-node reliabilities; `typical_reliability` is the
   /// pool average used to size waves (any value in (0.5, 1) is safe — it
   /// affects only how many jobs are requested per wave, not correctness);
@@ -44,6 +48,8 @@ class WeightedIterative final : public RedundancyStrategy {
   [[nodiscard]] double posterior(std::span<const Vote> votes,
                                  ResultValue value) const;
 
+  [[nodiscard]] std::string name() const;
+
  private:
   /// Log-likelihood ratio in favor of `value`.
   [[nodiscard]] double llr(std::span<const Vote> votes,
@@ -54,21 +60,6 @@ class WeightedIterative final : public RedundancyStrategy {
   double threshold_;
 };
 
-class WeightedIterativeFactory final : public StrategyFactory {
- public:
-  WeightedIterativeFactory(ReliabilityLookup lookup,
-                           double typical_reliability, double threshold);
-
-  [[nodiscard]] std::unique_ptr<RedundancyStrategy> make() const override;
-  /// Per-task stateless: decide() reads only the votes and the immutable
-  /// lookup, so one instance serves any task mix.
-  [[nodiscard]] bool stateless() const override { return true; }
-  [[nodiscard]] std::string name() const override;
-
- private:
-  ReliabilityLookup lookup_;
-  double typical_reliability_;
-  double threshold_;
-};
+using WeightedIterativeFactory = PrototypeFactory<WeightedIterative>;
 
 }  // namespace smartred::redundancy

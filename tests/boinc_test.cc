@@ -266,7 +266,7 @@ TEST(DeploymentTest, SelfTuningConvergesAcrossBatches) {
   EXPECT_GE(warmed.reliability(), 0.985);
   EXPECT_GT(warmed.cost_factor(), cold.cost_factor());
   // The estimator tracked the pool despite first-wave-only sampling.
-  EXPECT_NEAR(factory.estimator().estimate(),
+  EXPECT_NEAR(factory.prototype().estimator().estimate(),
               mean_effective_reliability(profiles), 0.02);
 }
 

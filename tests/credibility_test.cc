@@ -126,7 +126,7 @@ TEST(CredibilityStrategyTest, TrustedLiarDefeatsTheScheme) {
 TEST(CredibilityFactoryTest, SharedBookAcrossTasks) {
   auto book = std::make_shared<ReputationBook>(0.25);
   const CredibilityFactory factory(book, 0.9);
-  factory.book().record_spot_check(2, true);
+  book->record_spot_check(2, true);
   auto strategy_a = factory.make();
   auto strategy_b = factory.make();
   EXPECT_NE(strategy_a.get(), strategy_b.get());

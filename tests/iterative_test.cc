@@ -132,7 +132,7 @@ TEST(IterativeTest, NonBinaryMarginUsesRunnerUp) {
 TEST(IterativeFactoryTest, NameAndProduct) {
   const IterativeFactory factory(6);
   EXPECT_EQ(factory.name(), "iterative(d=6)");
-  EXPECT_EQ(factory.d(), 6);
+  EXPECT_EQ(factory.prototype().d(), 6);
   EXPECT_EQ(factory.make()->decide({}).jobs, 6);
 }
 

@@ -115,7 +115,7 @@ TEST(ProgressiveTest, WaveCountBounded) {
 TEST(ProgressiveFactoryTest, NameAndProduct) {
   const ProgressiveFactory factory(7);
   EXPECT_EQ(factory.name(), "progressive(k=7)");
-  EXPECT_EQ(factory.k(), 7);
+  EXPECT_EQ(factory.prototype().k(), 7);
   EXPECT_EQ(factory.make()->decide({}).jobs, 4);
 }
 

@@ -32,7 +32,7 @@ TEST(SelfTuningTest, RejectsBadConfig) {
 
 TEST(SelfTuningTest, ColdStartUsesInitialMargin) {
   const SelfTuningFactory factory(config_for(0.99));
-  EXPECT_EQ(factory.current_margin(), SelfTuningConfig{}.initial_margin);
+  EXPECT_EQ(factory.prototype().margin(), SelfTuningConfig{}.initial_margin);
   auto strategy = factory.make();
   EXPECT_EQ(strategy->decide({}).jobs, SelfTuningConfig{}.initial_margin);
 }
@@ -40,23 +40,24 @@ TEST(SelfTuningTest, ColdStartUsesInitialMargin) {
 TEST(SelfTuningTest, WarmEstimatorDerivesMargin) {
   const SelfTuningFactory factory(config_for(0.99));
   // Enough votes to clear both the warmup and the Wilson lower bound.
-  factory.estimator().observe_votes(90'000, 100'000);  // r̂ = 0.9
+  factory.prototype().estimator().observe_votes(90'000, 100'000);  // r̂ = 0.9
   const int expected = analysis::margin_for_confidence(0.9, 0.99);
-  EXPECT_EQ(factory.current_margin(), expected);
+  EXPECT_EQ(factory.prototype().margin(), expected);
 }
 
 TEST(SelfTuningTest, BelowWarmupKeepsInitialMargin) {
   SelfTuningConfig config = config_for(0.99);
   config.warmup_votes = 500;
   const SelfTuningFactory factory(config);
-  factory.estimator().observe_votes(90, 100);  // only 100 votes
-  EXPECT_EQ(factory.current_margin(), config.initial_margin);
+  factory.prototype().estimator().observe_votes(90, 100);  // only 100 votes
+  EXPECT_EQ(factory.prototype().margin(), config.initial_margin);
 }
 
 TEST(SelfTuningTest, UnusableEstimateFallsBack) {
   const SelfTuningFactory factory(config_for(0.99));
-  factory.estimator().observe_votes(5'200, 10'000);  // r̂ = 0.52 <= floor
-  EXPECT_EQ(factory.current_margin(),
+  // r̂ = 0.52 <= floor
+  factory.prototype().estimator().observe_votes(5'200, 10'000);
+  EXPECT_EQ(factory.prototype().margin(),
             SelfTuningConfig{}.initial_margin);
 }
 
@@ -66,8 +67,8 @@ TEST(SelfTuningTest, MarginCappedAtMaximum) {
   const SelfTuningFactory factory(config);
   // r̂ = 0.58 with a tight bound: the 0.9999 target wants a margin in the
   // thirties; the cap clamps it.
-  factory.estimator().observe_votes(58'000, 100'000);
-  EXPECT_EQ(factory.current_margin(), 8);
+  factory.prototype().estimator().observe_votes(58'000, 100'000);
+  EXPECT_EQ(factory.prototype().margin(), 8);
 }
 
 TEST(SelfTuningTest, AcceptanceFeedsFirstWaveExactlyOnce) {
@@ -79,10 +80,10 @@ TEST(SelfTuningTest, AcceptanceFeedsFirstWaveExactlyOnce) {
                                 {3, 1}, {4, 1}, {5, 1}};
   ASSERT_TRUE(strategy->decide(votes).done());
   // Exactly the first wave's 6 votes are recorded.
-  EXPECT_EQ(factory.estimator().votes_observed(), 6u);
+  EXPECT_EQ(factory.prototype().estimator().votes_observed(), 6u);
   // Re-consulting with the same final votes must not double-count.
   ASSERT_TRUE(strategy->decide(votes).done());
-  EXPECT_EQ(factory.estimator().votes_observed(), 6u);
+  EXPECT_EQ(factory.prototype().estimator().votes_observed(), 6u);
 }
 
 TEST(SelfTuningTest, OnlyFirstWaveVotesAreSampled) {
@@ -98,9 +99,9 @@ TEST(SelfTuningTest, OnlyFirstWaveVotesAreSampled) {
     votes.push_back({static_cast<NodeId>(i), 1});
   }
   ASSERT_TRUE(strategy->decide(votes).done());
-  EXPECT_EQ(factory.estimator().votes_observed(), 6u);
+  EXPECT_EQ(factory.prototype().estimator().votes_observed(), 6u);
   // 4 of the 6 first-wave votes agreed with the accepted value.
-  EXPECT_NEAR(factory.estimator().estimate(), 4.0 / 6.0, 1e-12);
+  EXPECT_NEAR(factory.prototype().estimator().estimate(), 4.0 / 6.0, 1e-12);
 }
 
 TEST(SelfTuningTest, ReachesTargetWithoutKnowingR) {
@@ -114,9 +115,9 @@ TEST(SelfTuningTest, ReachesTargetWithoutKnowingR) {
   EXPECT_GE(result.reliability(), 0.987);
   // And it should not be wildly overshooting on cost: the converged margin
   // is the calibrated one.
-  const int converged = factory.current_margin();
+  const int converged = factory.prototype().margin();
   EXPECT_EQ(converged, analysis::margin_for_confidence(true_r, 0.99));
-  EXPECT_NEAR(factory.estimator().estimate(), true_r, 0.01);
+  EXPECT_NEAR(factory.prototype().estimator().estimate(), true_r, 0.01);
 }
 
 TEST(SelfTuningTest, AdaptsMarginDownForReliablePools) {
@@ -126,7 +127,7 @@ TEST(SelfTuningTest, AdaptsMarginDownForReliablePools) {
   config.tasks = 20'000;
   config.seed = 22;
   const MonteCarloResult result = run_binary(factory, 0.95, config);
-  EXPECT_LT(factory.current_margin(), 6);
+  EXPECT_LT(factory.prototype().margin(), 6);
   EXPECT_GE(result.reliability(), 0.99 - 0.005);
   // Cost approaches the calibrated optimum, far below the cold-start cost.
   EXPECT_LT(result.cost_factor(),

@@ -88,7 +88,7 @@ TEST(TraditionalTest, PluralityWinsWithNonBinaryResults) {
 TEST(TraditionalFactoryTest, NameAndProduct) {
   const TraditionalFactory factory(19);
   EXPECT_EQ(factory.name(), "traditional(k=19)");
-  EXPECT_EQ(factory.k(), 19);
+  EXPECT_EQ(factory.prototype().k(), 19);
   auto strategy = factory.make();
   EXPECT_EQ(strategy->decide({}).jobs, 19);
 }
