@@ -22,9 +22,7 @@ int run_bench(int argc, char** argv) {
   const auto r = parser.add_double("reliability", 0.7, "node reliability");
   const auto tasks = parser.add_int("tasks", 20'000, "tasks per data point");
   const auto nodes = parser.add_int("nodes", 1'000, "initial pool size");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/8, /*default_seed=*/8);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv, {.seed = 8});
 
   const int dd = static_cast<int>(*d);
   smartred::table::banner(std::cout,
@@ -37,19 +35,15 @@ int run_bench(int argc, char** argv) {
   const std::string spec = "iterative:d=" + std::to_string(dd);
   const auto factory = smartred::redundancy::make_strategy(spec);
 
-  smartred::bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
   for (double rate : {0.0, 1.0, 5.0, 20.0, 50.0}) {
     smartred::dca::DcaConfig base;
     base.nodes = static_cast<std::size_t>(*nodes);
     base.churn.join_rate = rate;
     base.churn.leave_rate = rate;
     base.timeout = 5.0;
-    const auto metrics = smartred::bench::run_byzantine_dca(
-        trace.plan(smartred::bench::plan_point(flags, point++),
-                   spec + " churn=" + std::to_string(rate)),
-        *factory, *r, static_cast<std::uint64_t>(*tasks), base);
-    trace.record_metrics(metrics);
+    const auto metrics = sweep.byzantine_dca(
+        spec + " churn=" + std::to_string(rate), *factory, *r,
+        static_cast<std::uint64_t>(*tasks), base);
     out.add_row({rate, metrics.reliability(), rel_pred,
                  metrics.cost_factor(),
                  static_cast<long long>(metrics.jobs_lost),
@@ -57,8 +51,7 @@ int run_bench(int argc, char** argv) {
                  static_cast<long long>(metrics.nodes_joined),
                  metrics.makespan});
   }
-  smartred::bench::emit(out, *flags.csv, "churn");
-  trace.finish();
+  smartred::bench::emit(out, sweep.csv(), "churn");
   std::cout << "\nReading: reliability stays pinned to Equation (6) at every "
                "churn rate; churn costs only re-issued jobs and time.\n";
   return 0;
@@ -67,9 +60,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

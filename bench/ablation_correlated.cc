@@ -26,9 +26,7 @@ int run_bench(int argc, char** argv) {
                                        "per-node independent reliability");
   const auto q = parser.add_double("cluster-failure-prob", 0.1,
                                    "per-(task, cluster) shared failure");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/8, /*default_seed=*/4);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv, {.seed = 4});
 
   const int dd = static_cast<int>(*d);
   smartred::table::banner(
@@ -48,15 +46,12 @@ int run_bench(int argc, char** argv) {
   const double r_independent = *r_ind;
   const double cluster_failure = *q;
 
-  smartred::bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
   for (int clusters : {2'000, 200, 50, 10, 4, 1}) {
     smartred::dca::DcaConfig base;
     base.nodes = 2'000;
-    const auto metrics = smartred::bench::run_dca_point(
-        trace.plan(smartred::bench::plan_point(flags, point++),
-                   spec + " clusters=" + std::to_string(clusters)),
-        *factory, static_cast<std::uint64_t>(*tasks), base,
+    const auto metrics = sweep.dca_point(
+        spec + " clusters=" + std::to_string(clusters), *factory,
+        static_cast<std::uint64_t>(*tasks), base,
         [clusters, r_independent, cluster_failure](std::uint64_t rep_seed) {
           return smartred::fault::CorrelatedClusters(
               smartred::fault::ReliabilityAssigner(
@@ -66,12 +61,10 @@ int run_bench(int argc, char** argv) {
               clusters, cluster_failure,
               smartred::rng::Stream(smartred::rng::derive_seed(rep_seed, 2)));
         });
-    trace.record_metrics(metrics);
     out.add_row({static_cast<long long>(clusters), metrics.cost_factor(),
                  cost_pred, metrics.reliability(), rel_pred});
   }
-  smartred::bench::emit(out, *flags.csv, "correlated");
-  trace.finish();
+  smartred::bench::emit(out, sweep.csv(), "correlated");
   std::cout
       << "\nReading: with many clusters (jobs of one task rarely share a "
          "cluster) the independent-failure prediction holds; a single "
@@ -85,9 +78,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

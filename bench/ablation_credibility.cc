@@ -18,10 +18,10 @@
 // overhead and storage yet lose reliability to attackers who earn trust
 // and to identity churn, while iterative redundancy's guarantees depend
 // only on the fraction of wrong votes.
-// Like ablation_selftuning, this bench stays sequential regardless of
-// --threads: all three validators thread per-node state (trust books,
-// reputation books, attacker job counters) through every task in order.
-// --reps and --threads are accepted for flag uniformity but ignored.
+// Like ablation_selftuning, this bench is one sequential run per
+// validator, so it takes no --reps or --threads: all three validators
+// thread per-node state (trust books, reputation books, attacker job
+// counters) through every task in order.
 #include <iostream>
 #include <unordered_map>
 #include <vector>
@@ -195,15 +195,15 @@ int run_bench(int argc, char** argv) {
   const auto honest_r = parser.add_double("honest-reliability", 0.95,
                                           "honest node reliability");
   const auto d = parser.add_int("d", 6, "iterative margin");
-  const auto flags = bench::add_experiment_flags(parser, /*default_reps=*/1,
-                                                 /*default_seed=*/9);
+  const auto seed = parser.add_int("seed", 9, "master seed");
+  const auto csv = parser.add_string("csv", "", "CSV output path (optional)");
   parser.parse(argc, argv);
 
   Scenario scenario;
   scenario.tasks = static_cast<std::uint64_t>(*tasks);
   scenario.malicious_fraction = *malicious;
   scenario.honest_reliability = *honest_r;
-  scenario.seed = static_cast<std::uint64_t>(*flags.seed);
+  scenario.seed = static_cast<std::uint64_t>(*seed);
 
   table::banner(std::cout,
                 "A6 — validators vs. patient attackers (malicious fraction " +
@@ -235,7 +235,7 @@ int run_bench(int argc, char** argv) {
                  outcome.churns, std::string("spot-check history")});
   }
 
-  bench::emit(out, *flags.csv, "credibility");
+  bench::emit(out, *csv, "credibility");
   std::cout
       << "\nReading: iterative redundancy holds its Equation (6) guarantee "
          "with zero per-node state; adaptive replication is poisoned by "

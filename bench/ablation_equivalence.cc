@@ -87,8 +87,10 @@ int run_bench(int argc, char** argv) {
       "decisions, no reliability input needed");
   const auto trials = parser.add_int("trials", 2'000,
                                      "tasks replayed per (r, R) cell");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/1, /*default_seed=*/1);
+  const auto threads = parser.add_int(
+      "threads", 0, "worker threads (0 = one per hardware thread)");
+  const auto seed = parser.add_int("seed", 1, "master seed");
+  const auto csv = parser.add_string("csv", "", "CSV output path (optional)");
   parser.parse(argc, argv);
 
   smartred::table::banner(
@@ -106,11 +108,12 @@ int run_bench(int argc, char** argv) {
     }
   }
   // One cell per replication slot: the unit of parallelism here is the
-  // (r, R) grid itself, so --reps does not apply.
+  // (r, R) grid itself, so the bench takes no --reps.
   smartred::exp::RunnerConfig plan;
   plan.replications = cells.size();
-  plan.threads = static_cast<unsigned>(*flags.threads);
-  plan.master_seed = static_cast<std::uint64_t>(*flags.seed);
+  plan.threads =
+      static_cast<unsigned>(smartred::bench::at_least("threads", *threads, 0));
+  plan.master_seed = static_cast<std::uint64_t>(*seed);
   smartred::exp::ParallelRunner runner(plan);
   const std::vector<CellResult> results =
       runner.run([&](std::uint64_t index, std::uint64_t cell_seed) {
@@ -130,7 +133,7 @@ int run_bench(int argc, char** argv) {
     naive_ns += cell.naive_ns;
     simple_ns += cell.simple_ns;
   }
-  smartred::bench::emit(out, *flags.csv, "equivalence");
+  smartred::bench::emit(out, *csv, "equivalence");
   std::cout << "naive_vs_simple_time: "
             << naive_ns / std::max(1.0, simple_ns)
             << " (wall-clock ratio over all cells; not in the table)\n";

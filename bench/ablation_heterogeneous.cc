@@ -15,27 +15,6 @@
 
 namespace {
 
-smartred::dca::RunMetrics run_pool(
-    const smartred::exp::RunnerConfig& plan,
-    const smartred::fault::ReliabilityDistribution& dist,
-    const smartred::redundancy::StrategyFactory& factory,
-    std::uint64_t tasks) {
-  smartred::dca::DcaConfig base;
-  base.nodes = 2'000;
-  return smartred::bench::run_dca_point(
-      plan, factory, tasks, base, [&dist](std::uint64_t rep_seed) {
-        return smartred::fault::ByzantineCollusion(
-            smartred::fault::ReliabilityAssigner(
-                dist,
-                smartred::rng::Stream(smartred::rng::derive_seed(rep_seed,
-                                                                 1))));
-      });
-}
-
-}  // namespace
-
-namespace {
-
 int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
       "ablation_heterogeneous",
@@ -43,9 +22,7 @@ int run_bench(int argc, char** argv) {
       "assumption 1, §5.3)");
   const auto d = parser.add_int("d", 4, "iterative margin");
   const auto tasks = parser.add_int("tasks", 50'000, "tasks per pool");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/8, /*default_seed=*/3);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv, {.seed = 3});
 
   const int dd = static_cast<int>(*d);
   const auto n_tasks = static_cast<std::uint64_t>(*tasks);
@@ -73,19 +50,22 @@ int run_bench(int argc, char** argv) {
 
   const std::string spec = "iterative:d=" + std::to_string(dd);
   const auto factory = smartred::redundancy::make_strategy(spec);
-  smartred::bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
+  smartred::dca::DcaConfig pool_base;
+  pool_base.nodes = 2'000;
   for (const Pool& pool : pools) {
-    const auto metrics =
-        run_pool(trace.plan(smartred::bench::plan_point(flags, point++),
-                            spec + " " + pool.name),
-                 pool.dist, *factory, n_tasks);
-    trace.record_metrics(metrics);
+    const auto metrics = sweep.dca_point(
+        spec + " " + pool.name, *factory, n_tasks, pool_base,
+        [&pool](std::uint64_t rep_seed) {
+          return smartred::fault::ByzantineCollusion(
+              smartred::fault::ReliabilityAssigner(
+                  pool.dist, smartred::rng::Stream(
+                                 smartred::rng::derive_seed(rep_seed, 1))));
+        });
     out.add_row({pool.name, smartred::fault::mean_reliability(pool.dist),
                  metrics.empirical_node_reliability(), metrics.cost_factor(),
                  metrics.reliability(), predicted});
   }
-  smartred::bench::emit(out, *flags.csv, "heterogeneous");
+  smartred::bench::emit(out, sweep.csv(), "heterogeneous");
   std::cout << "\nReading: random assignment makes the pool look like its "
                "mean (paper assumption 1 and its §5.3 relaxation); iterative "
                "redundancy needs no change.\n";
@@ -115,11 +95,9 @@ int run_bench(int argc, char** argv) {
       std::to_string(smartred::redundancy::analysis::margin_for_confidence(
           mean_r, target));
   const auto margin_rule = smartred::redundancy::make_strategy(margin_spec);
-  const auto plain = smartred::bench::run_custom_mc(
-      trace.plan(smartred::bench::plan_point(flags, point++),
-                 margin_spec + " [mean r]"),
-      *margin_rule, source, smartred::redundancy::kCorrectValue, n_tasks);
-  trace.record_metrics(plain);
+  const auto plain =
+      sweep.custom_mc(margin_spec + " [mean r]", *margin_rule, source,
+                      smartred::redundancy::kCorrectValue, n_tasks);
   duel.add_row({margin_rule->name() + " [mean r]", plain.reliability(),
                 plain.cost_factor()});
 
@@ -130,13 +108,11 @@ int run_bench(int argc, char** argv) {
         return node % 2 == 0 ? good_r : bad_r;
       },
       mean_r, target);
-  const auto smart = smartred::bench::run_custom_mc(
-      trace.plan(smartred::bench::plan_point(flags, point++),
-                 weighted.name()),
-      weighted, source, smartred::redundancy::kCorrectValue, n_tasks);
-  trace.record_metrics(smart);
+  const auto smart = sweep.custom_mc(weighted.name(), weighted, source,
+                                     smartred::redundancy::kCorrectValue,
+                                     n_tasks);
   duel.add_row({weighted.name(), smart.reliability(), smart.cost_factor()});
-  smartred::bench::emit(duel, *flags.csv, "weighted");
+  smartred::bench::emit(duel, sweep.csv(), "weighted");
 
   // Third question (this repo's extension): when failures correlate in
   // clusters and reliabilities spread two-point, does smarter task-to-
@@ -158,10 +134,9 @@ int run_bench(int argc, char** argv) {
     base.nodes = 500;
     base.queue_policy = smartred::dca::QueuePolicy::kStartedTasksFirst;
     base.assignment_spec = policy_spec;
-    const auto metrics = smartred::bench::run_dca_point(
-        trace.plan(smartred::bench::plan_point(flags, point++),
-                   "assign " + policy_spec),
-        *factory, assign_tasks, base, [](std::uint64_t rep_seed) {
+    const auto metrics = sweep.dca_point(
+        "assign " + policy_spec, *factory, assign_tasks, base,
+        [](std::uint64_t rep_seed) {
           return smartred::fault::CorrelatedClusters(
               smartred::fault::ReliabilityAssigner(
                   smartred::fault::TwoPointReliability{0.9, 0.85, 0.35},
@@ -170,15 +145,13 @@ int run_bench(int argc, char** argv) {
               /*clusters=*/8, /*cluster_failure_prob=*/0.1,
               smartred::rng::Stream(smartred::rng::derive_seed(rep_seed, 2)));
         });
-    trace.record_metrics(metrics);
     assign.add_row(
         {policy_spec, metrics.reliability(),
          static_cast<long long>(metrics.tasks_total - metrics.tasks_correct),
          metrics.cost_factor(), metrics.response_time.mean(),
          metrics.response_time_hist.quantile(0.99)});
   }
-  smartred::bench::emit(assign, *flags.csv, "assignment");
-  trace.finish();
+  smartred::bench::emit(assign, sweep.csv(), "assignment");
   std::cout << "\nReading: the margin rule already meets the target without "
                "knowing anything; per-node knowledge (when it exists) buys a "
                "further cost reduction via the §5.3 complex form.\n";
@@ -188,9 +161,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

@@ -34,7 +34,7 @@ double raw_report(redundancy::NodeId node, bool correct,
   return kTruth + kJitter[node % 3];
 }
 
-redundancy::MonteCarloResult run_mode(const exp::RunnerConfig& plan,
+redundancy::MonteCarloResult run_mode(bench::Sweep& sweep, std::string label,
                                       bool use_epsilon_classes, double r,
                                       std::uint64_t tasks, int cap) {
   // One comparator per task, exactly like a per-workunit BOINC validator.
@@ -58,13 +58,9 @@ redundancy::MonteCarloResult run_mode(const exp::RunnerConfig& plan,
         return redundancy::Vote{node, clazz};
       };
   const auto factory = redundancy::make_strategy("iterative:d=4");
-  return bench::run_custom_mc(plan, *factory, source, /*correct_value=*/0,
-                              tasks, cap);
+  return sweep.custom_mc(std::move(label), *factory, source,
+                         /*correct=*/0, tasks, cap);
 }
-
-}  // namespace
-
-namespace {
 
 int run_bench(int argc, char** argv) {
   flags::Parser parser(
@@ -75,21 +71,15 @@ int run_bench(int argc, char** argv) {
   const auto r = parser.add_double("reliability", 0.8, "node reliability");
   const auto tasks = parser.add_int("tasks", 20'000, "tasks per mode");
   const auto cap = parser.add_int("cap", 60, "job cap per task");
-  const auto flags = bench::add_experiment_flags(parser, /*default_reps=*/8,
-                                                 /*default_seed=*/16);
-  parser.parse(argc, argv);
+  bench::Sweep sweep(parser, argc, argv, {.seed = 16, .policy = false});
 
   table::banner(std::cout,
                 "A11 — honest answers jittered across 3 CPU classes");
   table::Table out({"comparison", "reliability", "cost", "aborted_tasks",
                     "max_jobs"});
-  bench::TelemetrySession trace(flags);
   const auto exact =
-      run_mode(trace.plan(bench::plan_point(flags, 0),
-                          "iterative:d=4 bit-exact"),
-               false, *r, static_cast<std::uint64_t>(*tasks),
-               static_cast<int>(*cap));
-  trace.record_metrics(exact);
+      run_mode(sweep, "iterative:d=4 bit-exact", false, *r,
+               static_cast<std::uint64_t>(*tasks), static_cast<int>(*cap));
   // Bit-exact mode: "correct" means any honest class won; classes 0-2 are
   // all honest, so count a task correct when the accepted value is < 3.
   // run_custom scored against class 0 only; recompute nothing — report the
@@ -99,17 +89,13 @@ int run_bench(int argc, char** argv) {
                static_cast<long long>(exact.tasks_aborted),
                static_cast<long long>(exact.max_jobs_single_task)});
   const auto eps =
-      run_mode(trace.plan(bench::plan_point(flags, 1),
-                          "iterative:d=4 epsilon-class"),
-               true, *r, static_cast<std::uint64_t>(*tasks),
-               static_cast<int>(*cap));
-  trace.record_metrics(eps);
+      run_mode(sweep, "iterative:d=4 epsilon-class", true, *r,
+               static_cast<std::uint64_t>(*tasks), static_cast<int>(*cap));
   out.add_row({std::string("epsilon-class"), eps.reliability(),
                eps.cost_factor(),
                static_cast<long long>(eps.tasks_aborted),
                static_cast<long long>(eps.max_jobs_single_task)});
-  bench::emit(out, *flags.csv, "homogeneous");
-  trace.finish();
+  bench::emit(out, sweep.csv(), "homogeneous");
 
   std::cout << "\nAnalytic expectation with classes collapsed: cost "
             << redundancy::analysis::iterative_cost(4, *r)
@@ -126,9 +112,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

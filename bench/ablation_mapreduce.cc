@@ -37,11 +37,13 @@ int run_bench(int argc, char** argv) {
       "(traditional vs. iterative validation)");
   const auto documents = parser.add_int("documents", 512, "corpus size");
   const auto r = parser.add_double("reliability", 0.7, "worker reliability");
-  const auto flags = bench::add_experiment_flags(parser, /*default_reps=*/1,
-                                                 /*default_seed=*/14);
+  const auto threads = parser.add_int(
+      "threads", 0, "worker threads (0 = one per hardware thread)");
+  const auto seed = parser.add_int("seed", 14, "master seed");
+  const auto csv = parser.add_string("csv", "", "CSV output path (optional)");
   parser.parse(argc, argv);
 
-  const auto master = static_cast<std::uint64_t>(*flags.seed);
+  const auto master = static_cast<std::uint64_t>(*seed);
   const mapreduce::Corpus corpus(static_cast<std::size_t>(*documents), 200,
                                  1'000, rng::Stream(master));
   mapreduce::MapReduceConfig config;
@@ -66,10 +68,10 @@ int run_bench(int argc, char** argv) {
   for (int d : {1, 2, 3, 4, 5, 6}) rows.push_back({"IR", d});
 
   // One job per replication slot: the unit of parallelism is the row grid,
-  // so --reps does not apply here.
+  // so the bench takes no --reps.
   exp::RunnerConfig plan;
   plan.replications = rows.size();
-  plan.threads = static_cast<unsigned>(*flags.threads);
+  plan.threads = static_cast<unsigned>(bench::at_least("threads", *threads, 0));
   plan.master_seed = master * 100;
   exp::ParallelRunner runner(plan);
   const std::vector<mapreduce::MapReduceResult> results =
@@ -97,7 +99,7 @@ int run_bench(int argc, char** argv) {
              ? redundancy::analysis::traditional_reliability(row.param, *r)
              : redundancy::analysis::iterative_reliability(row.param, *r)});
   }
-  bench::emit(out, *flags.csv, "mapreduce");
+  bench::emit(out, *csv, "mapreduce");
   std::cout << "\nReading: at any jobs-per-task budget, iterative validation "
                "yields the cleaner final histogram; corrupted tasks are what "
                "a Hadoop user would experience as silently wrong output.\n";

@@ -23,9 +23,7 @@ int run_bench(int argc, char** argv) {
   const auto r = parser.add_double("reliability", 0.6,
                                    "per-node reliability (low on purpose)");
   const auto tasks = parser.add_int("tasks", 30'000, "tasks per data point");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/8, /*default_seed=*/6);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv, {.seed = 6});
 
   const int dd = static_cast<int>(*d);
   smartred::table::banner(
@@ -41,15 +39,12 @@ int run_bench(int argc, char** argv) {
   const auto factory = smartred::redundancy::make_strategy(spec);
   const double reliability = *r;
 
-  smartred::bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
   for (int spread : {1, 2, 4, 16, 256}) {
     smartred::dca::DcaConfig base;
     base.nodes = 2'000;
-    const auto metrics = smartred::bench::run_dca_point(
-        trace.plan(smartred::bench::plan_point(flags, point++),
-                   spec + " spread=" + std::to_string(spread)),
-        *factory, static_cast<std::uint64_t>(*tasks), base,
+    const auto metrics = sweep.dca_point(
+        spec + " spread=" + std::to_string(spread), *factory,
+        static_cast<std::uint64_t>(*tasks), base,
         [spread, reliability](std::uint64_t rep_seed) {
           return smartred::fault::ScatteredWrong(
               smartred::fault::ReliabilityAssigner(
@@ -58,12 +53,10 @@ int run_bench(int argc, char** argv) {
                                                                    1))),
               spread);
         });
-    trace.record_metrics(metrics);
     out.add_row({static_cast<long long>(spread), metrics.cost_factor(),
                  metrics.reliability(), bound_cost, bound_rel});
   }
-  smartred::bench::emit(out, *flags.csv, "nonbinary");
-  trace.finish();
+  smartred::bench::emit(out, sweep.csv(), "nonbinary");
   std::cout
       << "\nReading: the spread-1 row reproduces the binary bound exactly; "
          "every larger spread beats it on both axes — the paper's \"binary "
@@ -75,9 +68,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

@@ -34,20 +34,17 @@ int run_bench(int argc, char** argv) {
   const auto tasks = parser.add_int("tasks", 10'000, "tasks per run");
   const auto nodes = parser.add_int("nodes", 200,
                                     "pool size (small = contended)");
-  const auto flags = bench::add_experiment_flags(parser, /*default_reps=*/8,
-                                                 /*default_seed=*/15);
-  parser.parse(argc, argv);
+  bench::Sweep sweep(parser, argc, argv, {.seed = 15});
 
   table::banner(std::cout, "A10a — queue policy under contention");
   table::Table out({"technique", "policy", "avg_response", "max_response",
                     "cost", "makespan"});
 
-  const std::string assign_spec = bench::resolve_policy(flags);
+  // A10a and A10b run under --policy; a non-default one is named in their
+  // point labels, so it shows in the trace and metrics outputs.
   const std::string label_suffix =
-      assign_spec == "uniform" ? "" : " @" + assign_spec;
+      sweep.policy() == "uniform" ? "" : " @" + sweep.policy();
   const auto ir = redundancy::make_strategy("iterative:d=4");
-  bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
   for (const std::string spec :
        {"traditional:k=9", "progressive:k=9", "iterative:d=4"}) {
     const auto factory = redundancy::make_strategy(spec);
@@ -58,18 +55,15 @@ int run_bench(int argc, char** argv) {
       dca::DcaConfig base;
       base.nodes = static_cast<std::size_t>(*nodes);
       base.queue_policy = policy;
-      base.assignment_spec = assign_spec;
-      const auto metrics = bench::run_byzantine_dca(
-          trace.plan(bench::plan_point(flags, point++),
-                     spec + " " + policy_name + label_suffix),
-          *factory, *r, static_cast<std::uint64_t>(*tasks), base);
-      trace.record_metrics(metrics);
+      const auto metrics = sweep.byzantine_dca(
+          spec + " " + policy_name + label_suffix, *factory, *r,
+          static_cast<std::uint64_t>(*tasks), base);
       out.add_row({factory->name(), policy_name,
                    metrics.response_time.mean(), metrics.response_time.max(),
                    metrics.cost_factor(), metrics.makespan});
     }
   }
-  bench::emit(out, *flags.csv, "policy");
+  bench::emit(out, sweep.csv(), "policy");
 
   table::banner(std::cout,
                 "A10b — checkpointing under churn with long jobs");
@@ -84,18 +78,14 @@ int run_bench(int argc, char** argv) {
     base.churn.leave_rate = 10.0;
     base.timeout = 5.0;
     base.checkpoint_interval = interval;
-    base.assignment_spec = assign_spec;
-    const auto metrics = bench::run_byzantine_dca(
-        trace.plan(bench::plan_point(flags, point++),
-                   "iterative:d=4 checkpoint=" + std::to_string(interval) +
-                       label_suffix),
+    const auto metrics = sweep.byzantine_dca(
+        "iterative:d=4 checkpoint=" + std::to_string(interval) + label_suffix,
         *ir, 0.9, 2'000, base);
-    trace.record_metrics(metrics);
     cp.add_row({interval, metrics.makespan,
                 static_cast<long long>(metrics.jobs_lost),
                 metrics.reliability()});
   }
-  bench::emit(cp, *flags.csv, "checkpoint");
+  bench::emit(cp, sweep.csv(), "checkpoint");
 
   table::banner(std::cout,
                 "A10c — assignment policy on a straggler-heavy pool");
@@ -122,10 +112,8 @@ int run_bench(int argc, char** argv) {
     // Moderate load: enough tasks to keep the pool contended but with a
     // real idle set at assignment time — under full saturation every
     // completion frees exactly one node and no policy has a choice.
-    const auto metrics = bench::run_dca_replications(
-        trace.plan(bench::plan_point(flags, point++),
-                   "assign " + policy_spec),
-        600,
+    const auto metrics = sweep.replicate_tasks(
+        "assign " + policy_spec, 600,
         [&](std::uint64_t rep_tasks, std::uint64_t rep_seed,
             const bench::RepTelemetry& telemetry) {
           sim::Simulator simulator;
@@ -147,14 +135,12 @@ int run_bench(int argc, char** argv) {
           dca::TaskServer server(simulator, config, *ir, workload, failures);
           return dca::RunMetrics(server.run());
         });
-    trace.record_metrics(metrics);
     ap.add_row({policy_spec, metrics.response_time.mean(),
                 metrics.response_time_hist.quantile(0.99),
                 metrics.response_time.max(), metrics.cost_factor(),
                 metrics.makespan, metrics.reliability()});
   }
-  bench::emit(ap, *flags.csv, "assignment");
-  trace.finish();
+  bench::emit(ap, sweep.csv(), "assignment");
   std::cout << "\nReading: started-first queueing removes most of the §5.2 "
                "response penalty at zero cost; finer checkpoints recover "
                "most of the work lost to departing volunteers; and "
@@ -167,9 +153,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

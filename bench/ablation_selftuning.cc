@@ -7,11 +7,10 @@
 //      target (too small) or overpays (too large).
 //   2. Drift: the pool degrades mid-run; a forgetting estimator re-adapts.
 //   3. Margin trace: how fast the derived margin converges.
-// Unlike the other benches this one stays sequential regardless of
-// --threads: the self-tuning factory carries shared adaptive state (the
+// Unlike the sweep benches this one is sequential, so it takes no --reps
+// or --threads: the self-tuning factory carries shared adaptive state (the
 // margin estimate) that every task must observe in order, so replications
-// cannot be forked. --reps and --threads are accepted for flag uniformity
-// but ignored.
+// cannot be forked.
 #include <iostream>
 
 #include "common/flags.h"
@@ -42,8 +41,8 @@ int run_bench(int argc, char** argv) {
   const auto target = parser.add_double("target", 0.99,
                                         "per-task reliability target");
   const auto tasks = parser.add_int("tasks", 30'000, "tasks per run");
-  const auto flags = bench::add_experiment_flags(parser, /*default_reps=*/1,
-                                                 /*default_seed=*/12);
+  const auto seed = parser.add_int("seed", 12, "master seed");
+  const auto csv = parser.add_string("csv", "", "CSV output path (optional)");
   parser.parse(argc, argv);
 
   const auto n_tasks = static_cast<std::uint64_t>(*tasks);
@@ -52,7 +51,7 @@ int run_bench(int argc, char** argv) {
                 "A8 — unknown-r sweep, target R = " + std::to_string(*target));
   table::Table sweep({"true_r", "strategy", "reliability", "met", "cost",
                       "calibrated_cost", "final_margin"});
-  std::uint64_t run_seed = static_cast<std::uint64_t>(*flags.seed);
+  std::uint64_t run_seed = static_cast<std::uint64_t>(*seed);
   for (double r : {0.6, 0.7, 0.8, 0.9, 0.95}) {
     const int ideal_d = redundancy::analysis::margin_for_confidence(r,
                                                                     *target);
@@ -79,7 +78,7 @@ int run_bench(int argc, char** argv) {
                    rigid.cost_factor(), ideal_cost,
                    static_cast<long long>(assumed_d)});
   }
-  bench::emit(sweep, *flags.csv, "sweep");
+  bench::emit(sweep, *csv, "sweep");
 
   table::banner(std::cout, "A8 — pool degrades mid-run (0.9 -> 0.65)");
   table::Table drift({"estimator", "phase1_rel", "phase2_rel",
@@ -96,7 +95,7 @@ int run_bench(int argc, char** argv) {
                    phase1.reliability(), phase2.reliability(),
                    static_cast<long long>(factory.prototype().margin())});
   }
-  bench::emit(drift, *flags.csv, "drift");
+  bench::emit(drift, *csv, "drift");
   std::cout << "\nReading: the forgetting estimator raises the margin after "
                "the pool degrades and recovers the target; a frozen estimate "
                "keeps the stale (too small) margin and misses it.\n";

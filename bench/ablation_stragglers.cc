@@ -19,63 +19,6 @@
 
 namespace {
 
-smartred::dca::RunMetrics run_one(
-    const smartred::exp::RunnerConfig& plan,
-    const smartred::redundancy::StrategyFactory& factory, double r,
-    std::uint64_t tasks, std::size_t nodes, double slow_fraction,
-    double slowdown, bool smart) {
-  return smartred::bench::run_dca_replications(
-      plan, tasks,
-      [&](std::uint64_t rep_tasks, std::uint64_t rep_seed,
-          const smartred::bench::RepTelemetry& telemetry) {
-        smartred::sim::Simulator simulator;
-        simulator.set_recorder(telemetry.trace);
-        smartred::dca::DcaConfig config;
-        telemetry.apply(config);
-        config.nodes = nodes;
-        config.seed = rep_seed;
-        config.timeout = 25.0;  // pre-warmup fallback; fixed runs never
-                                // consult it
-        // Started-tasks-first isolates the straggler effect from the §5.2
-        // FIFO queueing artifact (ablation A10) in both modes.
-        config.queue_policy = smartred::dca::QueuePolicy::kStartedTasksFirst;
-        // Heavy-tailed base latency (lognormal, mean 1.0 like the paper's
-        // U[0.5, 1.5] draw) on a pool where a fraction of hosts is
-        // persistently slow.
-        smartred::fault::LognormalLatency tail(1.0, 1.2);
-        smartred::fault::SlowNodeLatency latency(
-            tail, slow_fraction, slowdown,
-            smartred::rng::Stream(smartred::rng::derive_seed(rep_seed, 2)));
-        config.latency = &latency;
-        if (smart) {
-          config.deadline.adaptive = true;
-          config.deadline.quantile = 0.9;
-          config.deadline.multiplier = 1.5;
-          config.deadline.warmup = 50;
-          config.speculation.enabled = true;
-          config.speculation.max_copies = 2;
-          config.quarantine.enabled = true;
-          config.quarantine.strike_threshold = 3;
-          config.quarantine.backoff_base = 50.0;
-          config.quarantine.backoff_factor = 2.0;
-          config.quarantine.backoff_cap = 800.0;
-        }
-        const smartred::dca::SyntheticWorkload workload(rep_tasks);
-        smartred::fault::ByzantineCollusion failures(
-            smartred::fault::ReliabilityAssigner(
-                smartred::fault::ConstantReliability{r},
-                smartred::rng::Stream(smartred::rng::derive_seed(rep_seed,
-                                                                 1))));
-        smartred::dca::TaskServer server(simulator, config, factory,
-                                         workload, failures);
-        return smartred::dca::RunMetrics(server.run());
-      });
-}
-
-}  // namespace
-
-namespace {
-
 int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
       "ablation_stragglers",
@@ -84,12 +27,49 @@ int run_bench(int argc, char** argv) {
   const auto r = parser.add_double("reliability", 0.7, "node reliability");
   const auto tasks = parser.add_int("tasks", 10'000, "tasks per data point");
   const auto nodes = parser.add_int("nodes", 2'000, "pool size");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/8, /*default_seed=*/3);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv, {.seed = 3});
 
   const auto n_tasks = static_cast<std::uint64_t>(*tasks);
   const auto n_nodes = static_cast<std::size_t>(*nodes);
+  const double reliability = *r;
+  // One point: `point_tasks` tasks of `factory` on a pool where
+  // `slow_fraction` of the hosts is 8x slow, with or without the defences.
+  const auto run_one = [&](std::string label,
+                           const smartred::redundancy::StrategyFactory& factory,
+                           std::uint64_t point_tasks, double slow_fraction,
+                           bool smart) {
+    return sweep.replicate_tasks(
+        std::move(label), point_tasks,
+        [&](std::uint64_t rep_tasks, std::uint64_t rep_seed,
+            const smartred::bench::RepTelemetry& telemetry) {
+          smartred::sim::Simulator simulator;
+          simulator.set_recorder(telemetry.trace);
+          smartred::dca::DcaConfig config;
+          telemetry.apply(config);
+          config.nodes = n_nodes;
+          config.seed = rep_seed;
+          // Started-tasks-first isolates the straggler effect from the
+          // §5.2 FIFO queueing artifact (ablation A10) in both modes.
+          smartred::bench::straggler_stack(config, smart);
+          // Heavy-tailed base latency (lognormal, mean 1.0 like the paper's
+          // U[0.5, 1.5] draw) on a pool where a fraction of hosts is
+          // persistently slow.
+          smartred::fault::LognormalLatency tail(1.0, 1.2);
+          smartred::fault::SlowNodeLatency latency(
+              tail, slow_fraction, /*slowdown=*/8.0,
+              smartred::rng::Stream(smartred::rng::derive_seed(rep_seed, 2)));
+          config.latency = &latency;
+          const smartred::dca::SyntheticWorkload workload(rep_tasks);
+          smartred::fault::ByzantineCollusion failures(
+              smartred::fault::ReliabilityAssigner(
+                  smartred::fault::ConstantReliability{reliability},
+                  smartred::rng::Stream(
+                      smartred::rng::derive_seed(rep_seed, 1))));
+          smartred::dca::TaskServer server(simulator, config, factory,
+                                           workload, failures);
+          return smartred::dca::RunMetrics(server.run());
+        });
+  };
 
   const char* const specs[] = {"traditional:k=5", "progressive:k=5",
                                "iterative:d=4"};
@@ -103,18 +83,12 @@ int run_bench(int argc, char** argv) {
                               "resp_mean", "resp_p99", "resp_max",
                               "speculative", "timed_out", "quarantined",
                               "makespan"});
-  smartred::bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
   for (const std::string spec : specs) {
     const auto factory = smartred::redundancy::make_strategy(spec);
     for (const bool smart : {false, true}) {
       const std::string mode = smart ? "adaptive+spec" : "fixed";
-      const auto metrics = run_one(
-          trace.plan(smartred::bench::plan_point(flags, point++),
-                     spec + " " + mode),
-          *factory, *r, n_tasks, n_nodes, /*slow_fraction=*/0.1,
-          /*slowdown=*/8.0, smart);
-      trace.record_metrics(metrics);
+      const auto metrics = run_one(spec + " " + mode, *factory, n_tasks,
+                                   /*slow_fraction=*/0.1, smart);
       out.add_row({spec, mode,
                    metrics.reliability(), metrics.cost_factor(),
                    metrics.response_time.mean(),
@@ -126,7 +100,7 @@ int run_bench(int argc, char** argv) {
                    metrics.makespan});
     }
   }
-  smartred::bench::emit(out, *flags.csv, "modes");
+  smartred::bench::emit(out, sweep.csv(), "modes");
 
   smartred::table::banner(
       std::cout,
@@ -136,16 +110,10 @@ int run_bench(int argc, char** argv) {
                                  "quarantined", "readmitted"});
   for (const double fraction : {0.0, 0.05, 0.1, 0.2, 0.4}) {
     const std::string label = "iterative:d=4 slow=" + std::to_string(fraction);
-    const auto fixed = run_one(
-        trace.plan(smartred::bench::plan_point(flags, point++),
-                   label + " fixed"),
-        *ir, *r, n_tasks / 2, n_nodes, fraction, 8.0, /*smart=*/false);
-    trace.record_metrics(fixed);
-    const auto smart = run_one(
-        trace.plan(smartred::bench::plan_point(flags, point++),
-                   label + " smart"),
-        *ir, *r, n_tasks / 2, n_nodes, fraction, 8.0, /*smart=*/true);
-    trace.record_metrics(smart);
+    const auto fixed =
+        run_one(label + " fixed", *ir, n_tasks / 2, fraction, false);
+    const auto smart =
+        run_one(label + " smart", *ir, n_tasks / 2, fraction, true);
     poison.add_row({fraction, fixed.response_time.mean(),
                     smart.response_time.mean(),
                     fixed.response_time_hist.quantile(0.99),
@@ -153,8 +121,7 @@ int run_bench(int argc, char** argv) {
                     static_cast<long long>(smart.nodes_quarantined),
                     static_cast<long long>(smart.nodes_readmitted)});
   }
-  smartred::bench::emit(poison, *flags.csv, "poisoning");
-  trace.finish();
+  smartred::bench::emit(poison, sweep.csv(), "poisoning");
 
   std::cout << "\nReading: under a heavy-tailed pool the fixed-timeout "
                "baseline has no straggler defence — mean response is set by "
@@ -168,9 +135,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

@@ -13,9 +13,6 @@
 
 namespace {
 namespace analysis = smartred::redundancy::analysis;
-}  // namespace
-
-namespace {
 
 int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
@@ -26,9 +23,8 @@ int run_bench(int argc, char** argv) {
   const auto d = parser.add_int("d", 4, "iterative margin");
   const auto tasks = parser.add_int("tasks", 100'000,
                                     "Monte-Carlo tasks per technique");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/8, /*default_seed=*/11);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv,
+                               {.seed = 11, .policy = false});
 
   const int kk = static_cast<int>(*k);
   const int dd = static_cast<int>(*d);
@@ -43,7 +39,7 @@ int run_bench(int argc, char** argv) {
                   w < pr_dist.size() ? pr_dist[w] : 0.0,
                   w < ir_dist.size() ? ir_dist[w] : 0.0});
   }
-  smartred::bench::emit(dist, *flags.csv, "analytic");
+  smartred::bench::emit(dist, sweep.csv(), "analytic");
   std::cout << "PR waves bounded by (k+1)/2 = " << (kk + 1) / 2
             << " (distribution support: " << pr_dist.size() << ")\n"
             << "IR tail length at 1e-13 residual: " << ir_dist.size()
@@ -53,34 +49,25 @@ int run_bench(int argc, char** argv) {
   smartred::table::Table meas(
       {"technique", "mean_waves", "max_waves", "analytic_mean"});
   const auto n_tasks = static_cast<std::uint64_t>(*tasks);
-  smartred::bench::TelemetrySession trace(flags);
   const std::string pr_spec = "progressive:k=" + std::to_string(kk);
-  const auto pr = smartred::bench::run_binary_mc(
-      trace.plan(smartred::bench::plan_point(flags, 0), pr_spec),
-      *smartred::redundancy::make_strategy(pr_spec), *r, n_tasks);
-  trace.record_metrics(pr);
+  const auto pr = sweep.binary_mc(
+      pr_spec, *smartred::redundancy::make_strategy(pr_spec), *r, n_tasks);
   meas.add_row({std::string("PR(k=") + std::to_string(kk) + ")",
                 pr.waves_per_task.mean(), pr.waves_per_task.max(),
                 analysis::expected_waves(pr_dist)});
   const std::string ir_spec = "iterative:d=" + std::to_string(dd);
-  const auto ir = smartred::bench::run_binary_mc(
-      trace.plan(smartred::bench::plan_point(flags, 1), ir_spec),
-      *smartred::redundancy::make_strategy(ir_spec), *r, n_tasks);
-  trace.record_metrics(ir);
+  const auto ir = sweep.binary_mc(
+      ir_spec, *smartred::redundancy::make_strategy(ir_spec), *r, n_tasks);
   meas.add_row({std::string("IR(d=") + std::to_string(dd) + ")",
                 ir.waves_per_task.mean(), ir.waves_per_task.max(),
                 analysis::expected_waves(ir_dist)});
-  smartred::bench::emit(meas, *flags.csv, "measured");
-  trace.finish();
+  smartred::bench::emit(meas, sweep.csv(), "measured");
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

@@ -30,10 +30,6 @@ void add_row(smartred::table::Table& out, const std::string& technique,
                metrics.response_time.mean(), metrics.makespan});
 }
 
-}  // namespace
-
-namespace {
-
 int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
       "fig5a_xdevs",
@@ -44,13 +40,11 @@ int run_bench(int argc, char** argv) {
       "tasks", 50'000, "tasks per data point, across reps (paper: 1e6)");
   const auto nodes = parser.add_int("nodes", 2'000,
                                     "pool size per replication (paper: 10000)");
-  const auto flags = smartred::bench::add_experiment_flags(parser);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv);
 
   const auto n_tasks = static_cast<std::uint64_t>(*tasks);
   smartred::dca::DcaConfig base;
   base.nodes = static_cast<std::size_t>(*nodes);
-  smartred::bench::TelemetrySession trace(flags);
 
   smartred::table::banner(
       std::cout, "Figure 5(a) — XDEVS-style DCA simulation, r = " +
@@ -61,7 +55,6 @@ int run_bench(int argc, char** argv) {
 
   // One data point per spec, built through the string-keyed registry — the
   // same grammar --strategy flags accept elsewhere.
-  std::uint64_t point = 0;
   const auto run_series =
       [&](const std::string& technique, const std::string& key, int lo,
           int hi, int step, auto predicted_cost, auto predicted_reliability) {
@@ -69,10 +62,8 @@ int run_bench(int argc, char** argv) {
           const std::string spec =
               technique + ":" + key + "=" + std::to_string(value);
           const auto factory = smartred::redundancy::make_strategy(spec);
-          const auto metrics = smartred::bench::run_byzantine_dca(
-              trace.plan(smartred::bench::plan_point(flags, point++), spec),
-              *factory, *r, n_tasks, base);
-          trace.record_metrics(metrics);
+          const auto metrics =
+              sweep.byzantine_dca(spec, *factory, *r, n_tasks, base);
           add_row(out, technique == "traditional" ? "TR"
                        : technique == "progressive" ? "PR"
                                                     : "IR",
@@ -93,8 +84,7 @@ int run_bench(int argc, char** argv) {
       [&](int d) { return analysis::iterative_cost(d, *r); },
       [&](int d) { return analysis::iterative_reliability(d, *r); });
 
-  smartred::bench::emit(out, *flags.csv, "fig5a");
-  trace.finish();
+  smartred::bench::emit(out, sweep.csv(), "fig5a");
   std::cout << "\nReading: at equal measured cost, IR achieves the highest "
                "reliability, PR second, TR last (paper Figure 5(a)).\n";
   return 0;
@@ -103,9 +93,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

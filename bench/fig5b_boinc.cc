@@ -26,33 +26,6 @@
 
 namespace {
 
-/// One merged data point: --reps independent executions of the full
-/// workload (fig 5(b) repeats whole problems rather than splitting tasks).
-smartred::dca::RunMetrics run_point(
-    const smartred::exp::RunnerConfig& plan,
-    const smartred::redundancy::StrategyFactory& factory,
-    const smartred::sat::SatWorkload& workload,
-    const std::vector<smartred::boinc::ClientProfile>& profiles) {
-  smartred::exp::ParallelRunner runner(plan);
-  return smartred::ckpt::run_resumable(
-      runner, [&](std::uint64_t rep, std::uint64_t rep_seed) {
-        const auto telemetry = smartred::bench::rep_telemetry(plan, rep);
-        smartred::sim::Simulator simulator;
-        simulator.set_recorder(telemetry.trace);
-        smartred::boinc::BoincConfig config;
-        config.seed = rep_seed;
-        config.timeseries = telemetry.timeseries;
-        config.assignment_spec = smartred::bench::active_policy();
-        smartred::boinc::Deployment deployment(simulator, config, profiles,
-                                               factory, workload);
-        return smartred::dca::RunMetrics(deployment.run());
-      });
-}
-
-}  // namespace
-
-namespace {
-
 int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
       "fig5b_boinc",
@@ -64,13 +37,11 @@ int run_bench(int argc, char** argv) {
                                     "tasks per problem (paper: 140)");
   const auto clients = parser.add_int("clients", 200,
                                       "volunteer clients (paper: 200)");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/4);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv, {.reps = 4});
 
   // One planted (satisfiable) instance shared by every technique, exactly
   // as the paper reuses its problems across techniques.
-  smartred::rng::Stream instance_rng(static_cast<std::uint64_t>(*flags.seed));
+  smartred::rng::Stream instance_rng(sweep.seed());
   const auto planted = static_cast<smartred::sat::Assignment>(
       instance_rng.uniform_int(0, (1u << *vars) - 1));
   smartred::sat::Formula formula = smartred::sat::planted_formula(
@@ -80,8 +51,7 @@ int run_bench(int argc, char** argv) {
   const smartred::sat::SatWorkload workload(
       std::move(formula), static_cast<std::uint64_t>(*tasks));
 
-  smartred::rng::Stream profile_rng(
-      static_cast<std::uint64_t>(*flags.seed) + 77);
+  smartred::rng::Stream profile_rng(sweep.seed() + 77);
   const auto profiles = smartred::boinc::planetlab_profiles(
       static_cast<std::size_t>(*clients), profile_rng);
   std::cout << "Pool: " << *clients << " clients, seeded r = 0.7, effective "
@@ -94,15 +64,23 @@ int run_bench(int argc, char** argv) {
   smartred::table::Table out({"technique", "param", "cost", "reliability",
                               "max_jobs", "jobs_lost", "est_r"});
 
-  smartred::bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
+  // Each replication is one full execution of the workload: fig 5(b)
+  // repeats whole problems rather than splitting tasks.
   auto run_series = [&](const std::string& name, const std::string& spec,
                         long long parameter) {
     const auto factory = smartred::redundancy::make_strategy(spec);
-    const auto metrics = run_point(
-        trace.plan(smartred::bench::plan_point(flags, point++), spec),
-        *factory, workload, profiles);
-    trace.record_metrics(metrics);
+    const auto metrics = sweep.replicate(
+        spec, [&](std::uint64_t rep_seed,
+                  const smartred::bench::RepTelemetry& telemetry) {
+          smartred::sim::Simulator simulator;
+          simulator.set_recorder(telemetry.trace);
+          smartred::boinc::BoincConfig config;
+          config.seed = rep_seed;
+          telemetry.apply(config);
+          smartred::boinc::Deployment deployment(simulator, config, profiles,
+                                                 *factory, workload);
+          return smartred::dca::RunMetrics(deployment.run());
+        });
     out.add_row({name, parameter, metrics.cost_factor(),
                  metrics.reliability(),
                  static_cast<long long>(metrics.max_jobs_single_task),
@@ -120,8 +98,7 @@ int run_bench(int argc, char** argv) {
     run_series("IR", "iterative:d=" + std::to_string(d), d);
   }
 
-  smartred::bench::emit(out, *flags.csv, "fig5b");
-  trace.finish();
+  smartred::bench::emit(out, sweep.csv(), "fig5b");
   std::cout
       << "\nReading: same dominance ordering as Figure 5(a) under real "
          "deployment effects; est_r recovers the paper's 0.64 < r < 0.67 "
@@ -132,9 +109,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

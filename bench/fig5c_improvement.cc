@@ -23,10 +23,6 @@ namespace {
 
 namespace analysis = smartred::redundancy::analysis;
 
-}  // namespace
-
-namespace {
-
 int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
       "fig5c_improvement",
@@ -35,8 +31,7 @@ int run_bench(int argc, char** argv) {
   const auto k = parser.add_int("k", 19, "reference traditional k");
   const auto cross_tasks = parser.add_int(
       "cross-tasks", 40'000, "tasks per Monte-Carlo cross-check point");
-  const auto flags = smartred::bench::add_experiment_flags(parser);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv, {.policy = false});
 
   const int ref_k = static_cast<int>(*k);
   smartred::table::banner(
@@ -52,7 +47,7 @@ int run_bench(int argc, char** argv) {
     out.add_row({r, analysis::progressive_improvement(ref_k, r),
                  analysis::iterative_improvement(ref_k, r)});
   }
-  smartred::bench::emit(out, *flags.csv, "analytic");
+  smartred::bench::emit(out, sweep.csv(), "analytic");
 
   smartred::table::banner(std::cout,
                           "Monte-Carlo cross-check (integer parameters)");
@@ -60,31 +55,24 @@ int run_bench(int argc, char** argv) {
       {"r", "PR_cost_meas", "PR_improvement_meas", "IR_d", "IR_cost_meas",
        "IR_improvement_analytic"});
   const auto n_tasks = static_cast<std::uint64_t>(*cross_tasks);
-  smartred::bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
   for (double r : {0.6, 0.7, 0.86, 0.95}) {
     const std::string pr_spec = "progressive:k=" + std::to_string(ref_k);
-    const auto pr = smartred::bench::run_binary_mc(
-        trace.plan(smartred::bench::plan_point(flags, point++),
-                   pr_spec + " r=" + std::to_string(r)),
+    const auto pr = sweep.binary_mc(
+        pr_spec + " r=" + std::to_string(r),
         *smartred::redundancy::make_strategy(pr_spec), r, n_tasks);
-    trace.record_metrics(pr);
     // Smallest integer margin meeting the matched reliability.
     const int d = analysis::margin_for_confidence(
         r, analysis::traditional_reliability(ref_k, r));
     const std::string ir_spec = "iterative:d=" + std::to_string(d);
-    const auto ir = smartred::bench::run_binary_mc(
-        trace.plan(smartred::bench::plan_point(flags, point++),
-                   ir_spec + " r=" + std::to_string(r)),
+    const auto ir = sweep.binary_mc(
+        ir_spec + " r=" + std::to_string(r),
         *smartred::redundancy::make_strategy(ir_spec), r, n_tasks);
-    trace.record_metrics(ir);
     check.add_row({r, pr.cost_factor(),
                    static_cast<double>(ref_k) / pr.cost_factor(),
                    static_cast<long long>(d), ir.cost_factor(),
                    analysis::iterative_improvement(ref_k, r)});
   }
-  smartred::bench::emit(check, *flags.csv, "crosscheck");
-  trace.finish();
+  smartred::bench::emit(check, sweep.csv(), "crosscheck");
 
   std::cout << "\nReading: PR climbs monotonically toward 2.0x; IR rises "
                "from ~1.5x, peaks ~2.7x in the high-0.8s/low-0.9s, and "
@@ -95,9 +83,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

@@ -19,10 +19,6 @@ namespace {
 
 namespace analysis = smartred::redundancy::analysis;
 
-}  // namespace
-
-namespace {
-
 int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
       "fig6_response_time",
@@ -34,8 +30,7 @@ int run_bench(int argc, char** argv) {
   const auto nodes = parser.add_int(
       "nodes", 100'000,
       "pool size; large default so queueing does not distort response time");
-  const auto flags = smartred::bench::add_experiment_flags(parser);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv);
 
   const auto n_tasks = static_cast<std::uint64_t>(*tasks);
   smartred::dca::DcaConfig base;
@@ -58,15 +53,9 @@ int run_bench(int argc, char** argv) {
                  metrics.waves_per_task.mean()});
   };
 
-  smartred::bench::TelemetrySession trace(flags);
-  std::uint64_t point = 0;
   auto run_spec = [&](const std::string& spec) {
-    const auto factory = smartred::redundancy::make_strategy(spec);
-    const auto metrics = smartred::bench::run_byzantine_dca(
-        trace.plan(smartred::bench::plan_point(flags, point++), spec),
-        *factory, *r, n_tasks, base);
-    trace.record_metrics(metrics);
-    return metrics;
+    return sweep.byzantine_dca(
+        spec, *smartred::redundancy::make_strategy(spec), *r, n_tasks, base);
   };
   for (int k = 1; k <= 25; k += 4) {
     const auto metrics = run_spec("traditional:k=" + std::to_string(k));
@@ -81,8 +70,7 @@ int run_bench(int argc, char** argv) {
     emit_row("IR", d, metrics, analysis::expected_response_iterative(d, *r));
   }
 
-  smartred::bench::emit(out, *flags.csv, "fig6");
-  trace.finish();
+  smartred::bench::emit(out, sweep.csv(), "fig6");
 
   // The paper's summary ratios at matched reliability.
   const int k = 19;
@@ -101,9 +89,6 @@ int run_bench(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Graceful shutdown: SIGINT/SIGTERM stop the sweep cooperatively, save a
-  // final checkpoint when --checkpoint-dir is set, flush telemetry, and
-  // name the exact resume command on stderr.
   return smartred::bench::guarded_main(
       argc, argv, [&] { return run_bench(argc, argv); });
 }

@@ -31,52 +31,6 @@
 
 namespace {
 
-smartred::dca::RunMetrics run_point(
-    const smartred::exp::RunnerConfig& plan,
-    const smartred::redundancy::StrategyFactory& factory, double r,
-    std::uint64_t tasks, std::size_t nodes, double churn_rate) {
-  return smartred::bench::run_dca_replications(
-      plan, tasks,
-      [&](std::uint64_t rep_tasks, std::uint64_t rep_seed,
-          const smartred::bench::RepTelemetry& telemetry) {
-        smartred::sim::Simulator simulator;
-        simulator.set_recorder(telemetry.trace);
-        smartred::dca::DcaConfig config;
-        telemetry.apply(config);
-        config.nodes = nodes;
-        config.seed = rep_seed;
-        config.timeout = 25.0;  // pre-warmup fallback only
-        config.queue_policy = smartred::dca::QueuePolicy::kStartedTasksFirst;
-        // Pareto-tailed base latency: scale 0.5, alpha 1.5 gives mean 1.5
-        // with an infinite-variance tail — the straggler regime where the
-        // diversity/parallelism knob matters.
-        smartred::fault::ParetoLatency latency(0.5, 1.5);
-        config.latency = &latency;
-        config.churn.join_rate = churn_rate;
-        config.churn.leave_rate = churn_rate;
-        config.deadline.adaptive = true;
-        config.deadline.quantile = 0.9;
-        config.deadline.multiplier = 1.5;
-        config.deadline.warmup = 50;
-        config.speculation.enabled = true;
-        config.speculation.max_copies = 2;
-        config.quarantine.enabled = true;
-        config.quarantine.strike_threshold = 3;
-        config.quarantine.backoff_base = 50.0;
-        config.quarantine.backoff_factor = 2.0;
-        config.quarantine.backoff_cap = 800.0;
-        const smartred::dca::SyntheticWorkload workload(rep_tasks);
-        smartred::fault::ByzantineCollusion failures(
-            smartred::fault::ReliabilityAssigner(
-                smartred::fault::ConstantReliability{r},
-                smartred::rng::Stream(
-                    smartred::rng::derive_seed(rep_seed, 1))));
-        smartred::dca::TaskServer server(simulator, config, factory,
-                                         workload, failures);
-        return smartred::dca::RunMetrics(server.run());
-      });
-}
-
 struct PointResult {
   std::string spec;
   bool coded = false;
@@ -85,10 +39,6 @@ struct PointResult {
   double p50 = 0.0;
   double p99 = 0.0;
 };
-
-}  // namespace
-
-namespace {
 
 int run_bench(int argc, char** argv) {
   smartred::flags::Parser parser(
@@ -100,9 +50,7 @@ int run_bench(int argc, char** argv) {
   const auto nodes = parser.add_int("nodes", 500, "pool size");
   const auto churn = parser.add_double(
       "churn", 2.0, "node join and leave rate (events per time unit)");
-  const auto flags = smartred::bench::add_experiment_flags(
-      parser, /*default_reps=*/8, /*default_seed=*/7);
-  parser.parse(argc, argv);
+  smartred::bench::Sweep sweep(parser, argc, argv, {.seed = 7});
 
   const auto n_tasks = static_cast<std::uint64_t>(*tasks);
   const auto n_nodes = static_cast<std::size_t>(*nodes);
@@ -128,15 +76,37 @@ int run_bench(int argc, char** argv) {
                               "wrong_accept", "decode_rejects", "resp_p50",
                               "resp_p99", "resp_max", "speculative",
                               "makespan"});
-  smartred::bench::TelemetrySession trace(flags);
   std::vector<PointResult> points;
-  std::uint64_t point = 0;
   for (const std::string spec : specs) {
     const auto factory = smartred::redundancy::make_strategy(spec);
-    const auto metrics = run_point(
-        trace.plan(smartred::bench::plan_point(flags, point++), spec),
-        *factory, *r, n_tasks, n_nodes, *churn);
-    trace.record_metrics(metrics);
+    const auto metrics = sweep.replicate_tasks(
+        spec, n_tasks,
+        [&](std::uint64_t rep_tasks, std::uint64_t rep_seed,
+            const smartred::bench::RepTelemetry& telemetry) {
+          smartred::sim::Simulator simulator;
+          simulator.set_recorder(telemetry.trace);
+          smartred::dca::DcaConfig config;
+          telemetry.apply(config);
+          config.nodes = n_nodes;
+          config.seed = rep_seed;
+          smartred::bench::straggler_stack(config);
+          // Pareto-tailed base latency: scale 0.5, alpha 1.5 gives mean 1.5
+          // with an infinite-variance tail — the straggler regime where the
+          // diversity/parallelism knob matters.
+          smartred::fault::ParetoLatency latency(0.5, 1.5);
+          config.latency = &latency;
+          config.churn.join_rate = *churn;
+          config.churn.leave_rate = *churn;
+          const smartred::dca::SyntheticWorkload workload(rep_tasks);
+          smartred::fault::ByzantineCollusion failures(
+              smartred::fault::ReliabilityAssigner(
+                  smartred::fault::ConstantReliability{*r},
+                  smartred::rng::Stream(
+                      smartred::rng::derive_seed(rep_seed, 1))));
+          smartred::dca::TaskServer server(simulator, config, *factory,
+                                           workload, failures);
+          return smartred::dca::RunMetrics(server.run());
+        });
     PointResult result;
     result.spec = spec;
     result.coded = spec.rfind("coded", 0) == 0;
@@ -155,8 +125,7 @@ int run_bench(int argc, char** argv) {
                  static_cast<long long>(metrics.jobs_speculative),
                  metrics.makespan});
   }
-  smartred::bench::emit(out, *flags.csv, "fig7");
-  trace.finish();
+  smartred::bench::emit(out, sweep.csv(), "fig7");
 
   // Dominance summary: a coded point beats an iterative point when its
   // expected cost is no higher (within 10% tolerance counts as "equal")

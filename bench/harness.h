@@ -1,15 +1,15 @@
 // Shared experiment harness for the figure-reproduction and ablation
-// benches: table/CSV emission, the standard replication flags
-// (--reps / --threads / --seed / --csv), and deterministic parallel
-// replication of the two experiment drivers (the DES-backed DCA and the
-// wave-level Monte-Carlo sampler) via exp::ParallelRunner.
+// benches: table/CSV emission, the sweep of data points every replicating
+// bench runs through (bench::Sweep: its flags, seeds, telemetry and
+// checkpoints), the straggler defences two benches share, and the guarded
+// main every bench runs in.
 //
 // Every data point is the merge of `--reps` replications whose seeds are
 // derived from one master seed; the merged aggregate is bit-identical for
 // any --threads value (see src/exp/parallel_runner.h for the contract).
-// Each bench numbers its data points and calls plan_point(flags, number) so
-// that points get independent seed streams while staying reproducible from
-// the single --seed flag.
+// A Sweep numbers its points in the order the bench runs them and seeds
+// point n with derive_seed(--seed, n), so points get independent seed
+// streams while staying reproducible from the single --seed flag.
 #pragma once
 
 #include <algorithm>
@@ -18,18 +18,18 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "ckpt/sweep.h"
 #include "common/flags.h"
-#include "common/spec.h"
-#include "dca/assignment.h"
 #include "common/rng.h"
+#include "common/spec.h"
 #include "common/table.h"
+#include "dca/assignment.h"
 #include "dca/metrics.h"
 #include "dca/task_server.h"
 #include "dca/workload.h"
@@ -65,213 +65,337 @@ inline void emit(const table::Table& data, const std::string& csv_path,
   std::cout << "(written to " << path << ")\n";
 }
 
-/// Handles to the standard replication flags every experiment binary takes.
-struct ExperimentFlags {
-  std::shared_ptr<std::int64_t> reps;
-  std::shared_ptr<std::int64_t> threads;
-  std::shared_ptr<std::int64_t> seed;
-  std::shared_ptr<std::string> csv;
-  std::shared_ptr<std::string> trace;
-  std::shared_ptr<std::int64_t> trace_ring;
-  std::shared_ptr<std::string> metrics;
-  std::shared_ptr<bool> progress;
-  std::shared_ptr<bool> profile;
-  std::shared_ptr<std::string> checkpoint_dir;
-  std::shared_ptr<std::int64_t> checkpoint_every;
-  std::shared_ptr<bool> resume;
-  std::shared_ptr<std::string> policy;
+/// `value`, the parsed value of flag --`name`, as a count. A value below
+/// `min` is a flags::ParseError (exit 2 under guarded_main), never coerced.
+[[nodiscard]] inline std::uint64_t at_least(const char* name,
+                                            std::int64_t value,
+                                            std::int64_t min) {
+  if (value < min) {
+    std::string message = "--";
+    message += name;
+    message += " must be at least ";
+    message += std::to_string(min);
+    message += ", got ";
+    message += std::to_string(value);
+    throw flags::ParseError(message);
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+/// What one replication of a sweep point receives besides its seed: its
+/// private flight-recorder ring and health-sampling recorder (each null
+/// when the sweep has no such output), the shared phase profiler
+/// (thread-safe; null when profiling is off), and the sweep's --policy.
+struct RepTelemetry {
+  obs::Recorder* trace = nullptr;
+  obs::TimeSeriesRecorder* timeseries = nullptr;
+  obs::PhaseProfiler* profile = nullptr;
+  /// The --policy spec; empty (uniform) when the bench takes no --policy.
+  std::string_view policy;
+
+  /// Wires the handles into a dca::DcaConfig or boinc::BoincConfig, and
+  /// writes the --policy spec into a config that names no assignment
+  /// policy itself. The trace ring goes to the simulator instead
+  /// (`simulator.set_recorder(telemetry.trace)`).
+  template <typename Config>
+  void apply(Config& config) const {
+    config.timeseries = timeseries;
+    if constexpr (requires { config.profile; }) config.profile = profile;
+    if (config.assignment_spec.empty() && config.assignment == nullptr) {
+      config.assignment_spec = policy;
+    }
+  }
 };
 
-/// Registers --reps, --threads, --seed, --csv, the telemetry flags
-/// (--trace, --trace-ring, --metrics, --progress, --profile), and the
-/// crash-safety flags (--checkpoint-dir, --checkpoint-every, --resume) on
-/// `parser`.
-inline ExperimentFlags add_experiment_flags(flags::Parser& parser,
-                                            std::int64_t default_reps = 8,
-                                            std::int64_t default_seed = 1) {
-  ExperimentFlags handles;
-  handles.reps = parser.add_int("reps", default_reps,
-                                "replications merged per data point");
-  handles.threads = parser.add_int(
-      "threads", 0, "worker threads (0 = one per hardware thread)");
-  handles.seed = parser.add_int("seed", default_seed, "master seed");
-  handles.csv = parser.add_string("csv", "", "CSV output path (optional)");
-  handles.trace = parser.add_string(
-      "trace", "",
-      "flight-recorder output path: *.jsonl for JSON lines, anything else "
-      "for Chrome about:tracing JSON (optional)");
-  handles.trace_ring = parser.add_int(
-      "trace-ring",
-      static_cast<std::int64_t>(obs::TraceCollector::kDefaultRingCapacity),
-      "per-replication flight-recorder ring capacity, in events");
-  handles.metrics = parser.add_string(
-      "metrics", "",
-      "telemetry output path: Prometheus text exposition to <path>, health "
-      "time-series CSV to <path>.timeseries.csv (optional)");
-  handles.progress = parser.add_bool(
-      "progress", false,
-      "live stderr progress line per data point (reps done, rep/s, ETA)");
-  handles.profile = parser.add_bool(
-      "profile", false, "print a wall-clock phase profile to stderr at exit");
-  handles.checkpoint_dir = parser.add_string(
-      "checkpoint-dir", "",
-      "directory for crash-safe sweep checkpoints; enables checkpointing "
-      "(optional)");
-  handles.checkpoint_every = parser.add_int(
-      "checkpoint-every", 1,
-      "completed replications between checkpoint saves per data point "
-      "(0 = save only at point completion or interruption)");
-  handles.resume = parser.add_bool(
-      "resume", false,
-      "resume an interrupted sweep from --checkpoint-dir instead of "
-      "starting it over");
-  handles.policy = parser.add_string(
-      "policy", "uniform",
-      "task-to-worker assignment policy for DCA points: uniform, "
-      "least-outstanding, stratified[:tiers=T,late=W], "
-      "cartel-averse:groups=G (see dca::make_policy)");
-  return handles;
-}
+/// The sweep flags a bench chooses: the defaults of --reps and --seed, and
+/// whether it takes --policy (only benches whose points dispatch to nodes
+/// do).
+struct SweepFlags {
+  std::int64_t reps = 8;
+  std::int64_t seed = 1;
+  bool policy = true;
+};
 
-namespace detail {
-/// The --policy spec in force for this process. plan_point() records it on
-/// every data point, so any bench that plans points picks the flag up
-/// without bench-side plumbing; RepTelemetry::apply() stamps it into DCA
-/// configs that didn't choose a policy themselves.
-inline std::string g_policy_spec = "uniform";  // NOLINT(cert-err58-cpp)
-}  // namespace detail
-
-/// Validates --policy eagerly — a typo fails here with the registry's
-/// did-you-mean message before any replication runs — records it as the
-/// process-wide default, and returns the spec for benches that also stamp
-/// it into point labels (so the policy in force is echoed into CSV headers
-/// and trace metadata).
-[[nodiscard]] inline std::string resolve_policy(const ExperimentFlags& flags) {
-  static_cast<void>(dca::make_policy(*flags.policy));
-  detail::g_policy_spec = *flags.policy;
-  return *flags.policy;
-}
-
-/// The validated --policy spec in force (for benches that build their
-/// configs outside the RepTelemetry::apply path, e.g. the BOINC substrate).
-[[nodiscard]] inline const std::string& active_policy() {
-  return detail::g_policy_spec;
-}
-
-/// Per-binary telemetry session driving obs:: from the --trace, --metrics,
-/// --progress, and --profile flags.
-///
-/// One session serves a whole bench run: for every data point the bench
-/// wraps its runner plan with `session.plan(...)` (which attaches the
-/// enabled collectors and names the point) and reports the point's merged
-/// aggregate with `record_metrics(...)`. The destructor (or an explicit
-/// finish()) writes every enabled output:
+/// The sweep of data points one bench runs. It owns the sweep flags:
+/// --reps, --threads, --seed, --csv, the telemetry flags (--trace,
+/// --trace-ring, --metrics, --progress, --profile), the crash-safety flags
+/// (--checkpoint-dir, --checkpoint-every, --resume) and --policy. Each data
+/// point is one call, which
+///   * numbers the point n in call order and seeds it with
+///     derive_seed(--seed, n) (call order must therefore be the same on
+///     every run; a resume checks each checkpoint's number and label);
+///   * runs its replications on --threads workers, resumable from the
+///     point's checkpoint when --checkpoint-dir is set;
+///   * hands each replication its RepTelemetry;
+///   * records the merged aggregate for the --trace and --metrics outputs.
+/// The destructor writes the enabled outputs:
 ///   * --trace=<path>: flight-recorder events — JSON lines when the path
 ///     ends in .jsonl, Chrome about:tracing JSON otherwise;
 ///   * --metrics=<path>: Prometheus text exposition of the per-point
 ///     aggregates (scalars, summaries, latency histograms) to <path> and
 ///     the health time-series to <path>.timeseries.csv;
-///   * --profile: a wall-clock phase profile on stderr;
-///   * --progress: a live per-point stderr progress line during the runs.
-/// With all flags unset every call is a no-op and no collector is ever
-/// attached, so instrumented and plain runs execute the exact same
-/// simulation code path.
-class TelemetrySession {
+///   * --profile: a wall-clock phase profile on stderr.
+/// With these flags and --progress unset no collector is ever attached, so
+/// instrumented and plain runs execute the exact same simulation code path.
+class Sweep {
  public:
-  explicit TelemetrySession(const ExperimentFlags& flags)
-      : trace_path_(*flags.trace),
-        metrics_path_(*flags.metrics),
-        ring_capacity_(*flags.trace_ring > 0
-                           ? static_cast<std::size_t>(*flags.trace_ring)
-                           : obs::TraceCollector::kDefaultRingCapacity),
-        collector_(ring_capacity_),
-        progress_(*flags.progress),
-        profile_enabled_(*flags.profile) {
-    if (!flags.checkpoint_dir->empty()) {
-      checkpointer_.emplace(
-          *flags.checkpoint_dir,
-          *flags.checkpoint_every > 0
-              ? static_cast<std::uint64_t>(*flags.checkpoint_every)
-              : 0,
-          *flags.resume);
+  /// Registers the sweep flags on `parser` after the bench's own, parses
+  /// `argv`, and checks the values before any point runs: --reps below 1,
+  /// negative --threads or --checkpoint-every, and --trace-ring below 1
+  /// throw flags::ParseError; an unknown --policy throws the registry's
+  /// spec::SpecError with its did-you-mean message.
+  Sweep(flags::Parser& parser, int argc, const char* const* argv,
+        SweepFlags defaults = {}) {
+    const auto reps = parser.add_int("reps", defaults.reps,
+                                     "replications merged per data point");
+    const auto threads = parser.add_int(
+        "threads", 0, "worker threads (0 = one per hardware thread)");
+    const auto seed = parser.add_int("seed", defaults.seed, "master seed");
+    const auto csv = parser.add_string("csv", "", "CSV output path (optional)");
+    const auto trace = parser.add_string(
+        "trace", "",
+        "flight-recorder output path: *.jsonl for JSON lines, anything else "
+        "for Chrome about:tracing JSON (optional)");
+    const auto trace_ring = parser.add_int(
+        "trace-ring",
+        static_cast<std::int64_t>(obs::TraceCollector::kDefaultRingCapacity),
+        "per-replication flight-recorder ring capacity, in events");
+    const auto metrics = parser.add_string(
+        "metrics", "",
+        "telemetry output path: Prometheus text exposition to <path>, health "
+        "time-series CSV to <path>.timeseries.csv (optional)");
+    const auto progress = parser.add_bool(
+        "progress", false,
+        "live stderr progress line per data point (reps done, rep/s, ETA)");
+    const auto profile = parser.add_bool(
+        "profile", false, "print a wall-clock phase profile to stderr at exit");
+    const auto checkpoint_dir = parser.add_string(
+        "checkpoint-dir", "",
+        "directory for crash-safe sweep checkpoints; enables checkpointing "
+        "(optional)");
+    const auto checkpoint_every = parser.add_int(
+        "checkpoint-every", 1,
+        "completed replications between checkpoint saves per data point "
+        "(0 = save only at point completion or interruption)");
+    const auto resume = parser.add_bool(
+        "resume", false,
+        "resume an interrupted sweep from --checkpoint-dir instead of "
+        "starting it over");
+    const auto policy =
+        defaults.policy
+            ? parser.add_string(
+                  "policy", "uniform",
+                  "task-to-worker assignment policy for DCA points: uniform, "
+                  "least-outstanding, stratified[:tiers=T,late=W], "
+                  "cartel-averse:groups=G (see dca::make_policy)")
+            : nullptr;
+    parser.parse(argc, argv);
+
+    reps_ = at_least("reps", *reps, 1);
+    threads_ = static_cast<unsigned>(at_least("threads", *threads, 0));
+    const std::uint64_t every =
+        at_least("checkpoint-every", *checkpoint_every, 0);
+    trace_ring_ = at_least("trace-ring", *trace_ring, 1);
+    if (policy != nullptr) {
+      static_cast<void>(dca::make_policy(*policy));
+      policy_ = *policy;
+    }
+    seed_ = static_cast<std::uint64_t>(*seed);
+    csv_ = *csv;
+    trace_path_ = *trace;
+    metrics_path_ = *metrics;
+    progress_ = *progress;
+    if (!trace_path_.empty()) trace_.emplace(trace_ring_);
+    if (!metrics_path_.empty()) timeseries_.emplace();
+    if (*profile) profiler_.emplace();
+    if (!checkpoint_dir->empty()) {
+      checkpointer_.emplace(*checkpoint_dir, every, *resume);
     }
   }
 
-  TelemetrySession(const TelemetrySession&) = delete;
-  TelemetrySession& operator=(const TelemetrySession&) = delete;
+  Sweep(const Sweep&) = delete;
+  Sweep& operator=(const Sweep&) = delete;
 
-  ~TelemetrySession() { finish(); }
-
-  [[nodiscard]] bool tracing() const { return !trace_path_.empty(); }
-  [[nodiscard]] bool metrics_enabled() const { return !metrics_path_.empty(); }
-
-  /// Seals the previous point (if any), attaches the enabled collectors to
-  /// `plan`, and names the point `label`. With --checkpoint-dir set, also
-  /// attaches the point's crash-safe checkpoint handle — points are
-  /// numbered in plan() call order, which therefore must be deterministic
-  /// across runs (it is: every bench enumerates its sweep the same way).
-  /// Returns `plan` unchanged when all telemetry is off.
-  [[nodiscard]] exp::RunnerConfig plan(exp::RunnerConfig plan,
-                                       std::string label) {
-    if (checkpointer_.has_value()) {
-      plan.checkpoint = &checkpointer_->plan_point(label);
-    }
-    if (progress_) {
-      plan.progress = true;
-      plan.progress_label = label;
-    }
-    if (profile_enabled_) plan.profile = &profiler_;
-    if (tracing() || metrics_enabled()) {
-      seal();
-      pending_ = true;
-      pending_label_ = std::move(label);
-      if (tracing()) plan.trace = &collector_;
-      if (metrics_enabled()) plan.timeseries = &timeseries_;
-    }
-    return plan;
-  }
-
-  /// Snapshots the current point's merged aggregates for the trace and
-  /// metrics outputs.
-  template <typename Aggregate>
-  void record_metrics(const Aggregate& aggregate) {
-    if (!pending_) return;
-    pending_metrics_ = obs::snapshot(aggregate);
-  }
-
-  /// Seals the last point and writes all enabled outputs. Safe to call
-  /// twice; the destructor calls it for benches that don't.
-  void finish() {
-    if (finished_) return;
-    finished_ = true;
-    seal();
+  ~Sweep() {
+    // A point an interrupt cut short still files what it traced.
+    close_point({});
     write_trace();
     write_metrics();
-    if (profile_enabled_) profiler_.report(std::cerr);
+    if (profiler_) profiler_->report(std::cerr);
+  }
+
+  [[nodiscard]] std::uint64_t seed() const { return seed_; }
+  [[nodiscard]] const std::string& csv() const { return csv_; }
+  [[nodiscard]] const std::string& policy() const { return policy_; }
+
+  /// Runs the next point, named `label`, as --reps replications that each
+  /// run the bench's whole workload: `run_rep(rep_seed, telemetry)` returns
+  /// one replication's aggregate. It is called concurrently from worker
+  /// threads, so it must depend only on its arguments.
+  template <typename RunRep>
+  auto replicate(std::string label, RunRep&& run_rep) {
+    return run(std::move(label), reps_,
+               [&](std::uint64_t, std::uint64_t rep_seed,
+                   const RepTelemetry& telemetry) {
+                 return run_rep(rep_seed, telemetry);
+               });
+  }
+
+  /// Runs the next point, named `label`, as replications that together run
+  /// `total_tasks` tasks, split as evenly as possible:
+  /// `run_rep(rep_tasks, rep_seed, telemetry)` runs one share (called
+  /// concurrently, like replicate()'s). A point with fewer tasks than
+  /// --reps runs one replication per task, so none receives zero tasks.
+  template <typename RunRep>
+  auto replicate_tasks(std::string label, std::uint64_t total_tasks,
+                       RunRep&& run_rep) {
+    const std::uint64_t reps =
+        std::min(reps_, std::max<std::uint64_t>(total_tasks, 1));
+    return run(std::move(label), reps,
+               [&](std::uint64_t rep, std::uint64_t rep_seed,
+                   const RepTelemetry& telemetry) {
+                 return run_rep(exp::partition_size(total_tasks, reps, rep),
+                                rep_seed, telemetry);
+               });
+  }
+
+  /// A DCA point with a caller-built failure model: `make_failures(rep_seed)`
+  /// returns each replication's own model by value (failure models hold RNG
+  /// state, so replications cannot share one). `base` must not carry a
+  /// latency model for the same reason; replications needing one use
+  /// replicate_tasks().
+  template <typename MakeFailures>
+  dca::RunMetrics dca_point(std::string label,
+                            const redundancy::StrategyFactory& factory,
+                            std::uint64_t total_tasks,
+                            const dca::DcaConfig& base,
+                            MakeFailures&& make_failures) {
+    return replicate_tasks(
+        std::move(label), total_tasks,
+        [&](std::uint64_t rep_tasks, std::uint64_t rep_seed,
+            const RepTelemetry& telemetry) {
+          sim::Simulator simulator;
+          simulator.set_recorder(telemetry.trace);
+          dca::DcaConfig config = base;
+          config.seed = rep_seed;
+          telemetry.apply(config);
+          const dca::SyntheticWorkload workload(rep_tasks);
+          auto failures = make_failures(rep_seed);
+          dca::TaskServer server(simulator, config, factory, workload,
+                                 failures);
+          return dca::RunMetrics(server.run());
+        });
+  }
+
+  /// The canonical Figure 5(a)/6 point: constant node reliability under
+  /// binary Byzantine collusion.
+  dca::RunMetrics byzantine_dca(std::string label,
+                                const redundancy::StrategyFactory& factory,
+                                double reliability, std::uint64_t total_tasks,
+                                const dca::DcaConfig& base) {
+    return dca_point(std::move(label), factory, total_tasks, base,
+                     [reliability](std::uint64_t rep_seed) {
+                       return fault::ByzantineCollusion(
+                           fault::ReliabilityAssigner(
+                               fault::ConstantReliability{reliability},
+                               rng::Stream(rng::derive_seed(rep_seed, 1))));
+                     });
+  }
+
+  /// A Monte-Carlo point: `total_tasks` tasks sampled through `factory`'s
+  /// strategy on an arbitrary vote source, shared across workers (so it
+  /// must be thread-safe: pure captures, all randomness through the passed
+  /// stream).
+  redundancy::MonteCarloResult custom_mc(
+      std::string label, const redundancy::StrategyFactory& factory,
+      const redundancy::VoteSource& source, redundancy::ResultValue correct,
+      std::uint64_t total_tasks, int max_jobs_per_task = 100'000) {
+    return monte_carlo(std::move(label), total_tasks, max_jobs_per_task,
+                       [&](const redundancy::MonteCarloConfig& config) {
+                         return redundancy::run_custom(factory, source,
+                                                       correct, config);
+                       });
+  }
+
+  /// custom_mc() for the binary worst case at constant reliability.
+  redundancy::MonteCarloResult binary_mc(
+      std::string label, const redundancy::StrategyFactory& factory,
+      double reliability, std::uint64_t total_tasks) {
+    return monte_carlo(std::move(label), total_tasks, 100'000,
+                       [&](const redundancy::MonteCarloConfig& config) {
+                         return redundancy::run_binary(factory, reliability,
+                                                       config);
+                       });
   }
 
  private:
-  void seal() {
-    if (!pending_) return;
-    if (tracing()) {
-      points_.push_back(obs::PointTrace{pending_label_, collector_.merged(),
-                                        pending_metrics_});
-      points_.back().dropped = collector_.dropped();
+  template <typename Sample>
+  redundancy::MonteCarloResult monte_carlo(std::string label,
+                                           std::uint64_t total_tasks,
+                                           int max_jobs_per_task,
+                                           Sample&& sample) {
+    return replicate_tasks(
+        std::move(label), total_tasks,
+        [&](std::uint64_t rep_tasks, std::uint64_t rep_seed,
+            const RepTelemetry& telemetry) {
+          redundancy::MonteCarloConfig config;
+          config.tasks = rep_tasks;
+          config.seed = rep_seed;
+          config.max_jobs_per_task = max_jobs_per_task;
+          config.recorder = telemetry.trace;
+          config.timeseries = telemetry.timeseries;
+          return sample(config);
+        });
+  }
+
+  /// Numbers, seeds and runs the next point: `fn(rep, rep_seed, telemetry)`
+  /// for each of `replications` replications, merged in index order.
+  template <typename Fn>
+  auto run(std::string label, std::uint64_t replications, Fn&& fn) {
+    exp::RunnerConfig plan;
+    plan.replications = replications;
+    plan.threads = threads_;
+    plan.master_seed = rng::derive_seed(seed_, next_point_++);
+    plan.progress = progress_;
+    plan.progress_label = label;
+    if (checkpointer_) plan.checkpoint = &checkpointer_->plan_point(label);
+    if (profiler_) plan.profile = &*profiler_;
+    if (trace_) plan.trace = &*trace_;
+    if (timeseries_) plan.timeseries = &*timeseries_;
+    if (trace_ || timeseries_) open_point_ = std::move(label);
+    exp::ParallelRunner runner(plan);
+    auto aggregate = ckpt::run_resumable(
+        runner, [&](std::uint64_t rep, std::uint64_t rep_seed) {
+          RepTelemetry telemetry;
+          if (trace_) telemetry.trace = &trace_->recorder(rep);
+          if (timeseries_) telemetry.timeseries = &timeseries_->recorder(rep);
+          telemetry.profile = plan.profile;
+          telemetry.policy = policy_;
+          return fn(rep, rep_seed, telemetry);
+        });
+    if (open_point_) close_point(obs::snapshot(aggregate));
+    return aggregate;
+  }
+
+  /// Files the open point's trace and time series under its label, with
+  /// `metrics` as its aggregate.
+  void close_point(obs::MetricRegistry metrics) {
+    if (!open_point_) return;
+    if (trace_) {
+      trace_points_.push_back(obs::PointTrace{
+          *open_point_, trace_->merged(), metrics, trace_->dropped()});
     }
-    if (metrics_enabled()) {
+    if (timeseries_) {
       series_points_.push_back(
-          obs::PointSeries{pending_label_, timeseries_.merged()});
+          obs::PointSeries{*open_point_, timeseries_->merged()});
       metric_points_.push_back(
-          obs::MetricsPoint{std::move(pending_label_),
-                            std::move(pending_metrics_)});
+          obs::MetricsPoint{std::move(*open_point_), std::move(metrics)});
     }
-    pending_ = false;
-    pending_label_.clear();
-    pending_metrics_ = obs::MetricRegistry{};
+    open_point_.reset();
   }
 
   void write_trace() {
-    if (!tracing()) return;
+    if (!trace_) return;
     std::ofstream out(trace_path_);
     if (!out) {
       std::cerr << "trace: cannot open " << trace_path_ << " for writing\n";
@@ -281,23 +405,23 @@ class TelemetrySession {
         trace_path_.size() >= 6 &&
         trace_path_.compare(trace_path_.size() - 6, 6, ".jsonl") == 0;
     if (jsonl) {
-      obs::write_jsonl(out, points_);
+      obs::write_jsonl(out, trace_points_);
     } else {
-      obs::write_chrome_trace(out, points_);
+      obs::write_chrome_trace(out, trace_points_);
     }
     std::cout << "(trace written to " << trace_path_ << ")\n";
     std::uint64_t dropped = 0;
-    for (const obs::PointTrace& point : points_) dropped += point.dropped;
+    for (const obs::PointTrace& point : trace_points_) dropped += point.dropped;
     if (dropped > 0) {
       std::cerr << "warning: trace dropped " << dropped
-                << " events to full rings (capacity " << ring_capacity_
+                << " events to full rings (capacity " << trace_ring_
                 << " events per replication) — raise --trace-ring or trace "
                    "a smaller run\n";
     }
   }
 
   void write_metrics() {
-    if (!metrics_enabled()) return;
+    if (!timeseries_) return;
     std::ofstream out(metrics_path_);
     if (!out) {
       std::cerr << "metrics: cannot open " << metrics_path_
@@ -316,167 +440,49 @@ class TelemetrySession {
     std::cout << "(time series written to " << csv_path << ")\n";
   }
 
+  std::uint64_t reps_ = 0;
+  unsigned threads_ = 0;
+  std::uint64_t seed_ = 0;
+  std::string policy_;
+  std::string csv_;
   std::string trace_path_;
+  std::uint64_t trace_ring_ = 0;
   std::string metrics_path_;
-  std::size_t ring_capacity_;
-  obs::TraceCollector collector_;
-  obs::TimeSeriesCollector timeseries_;
-  obs::PhaseProfiler profiler_;
+  bool progress_ = false;
+  /// Each collector exists only while its output is enabled.
+  std::optional<obs::TraceCollector> trace_;
+  std::optional<obs::TimeSeriesCollector> timeseries_;
+  std::optional<obs::PhaseProfiler> profiler_;
   std::optional<ckpt::SweepCheckpointer> checkpointer_;
-  bool progress_;
-  bool profile_enabled_;
-  std::vector<obs::PointTrace> points_;
+  std::uint64_t next_point_ = 0;
+  /// Label of the point whose trace and series are not yet filed.
+  std::optional<std::string> open_point_;
+  std::vector<obs::PointTrace> trace_points_;
   std::vector<obs::MetricsPoint> metric_points_;
   std::vector<obs::PointSeries> series_points_;
-  std::string pending_label_;
-  obs::MetricRegistry pending_metrics_;
-  bool pending_ = false;
-  bool finished_ = false;
 };
 
-/// The runner configuration for data point number `point`: --reps
-/// replications on --threads workers, with a master seed derived from
-/// --seed so distinct points never share replication seed streams.
-inline exp::RunnerConfig plan_point(const ExperimentFlags& flags,
-                                    std::uint64_t point) {
-  detail::g_policy_spec = resolve_policy(flags);
-  exp::RunnerConfig config;
-  config.replications =
-      *flags.reps > 0 ? static_cast<std::uint64_t>(*flags.reps) : 1;
-  config.threads = static_cast<unsigned>(*flags.threads);
-  config.master_seed =
-      rng::derive_seed(static_cast<std::uint64_t>(*flags.seed), point);
-  return config;
-}
-
-/// `plan` with its replication count clamped so no replication receives
-/// zero tasks (the drivers require at least one task per run). The clamp
-/// depends only on the flags, never on thread scheduling.
-[[nodiscard]] inline exp::RunnerConfig clamp_to_tasks(
-    const exp::RunnerConfig& plan, std::uint64_t total_tasks) {
-  exp::RunnerConfig effective = plan;
-  effective.replications =
-      std::min(plan.replications, std::max<std::uint64_t>(total_tasks, 1));
-  return effective;
-}
-
-/// Per-replication telemetry handles handed to DCA replication functions:
-/// this replication's private flight-recorder ring and health-sampling
-/// recorder (each null when the plan carries no such collector), plus the
-/// shared phase profiler (thread-safe; null when profiling is off).
-struct RepTelemetry {
-  obs::Recorder* trace = nullptr;
-  obs::TimeSeriesRecorder* timeseries = nullptr;
-  obs::PhaseProfiler* profile = nullptr;
-
-  /// Wires the handles into a DCA server config, and stamps the --policy
-  /// spec into configs that didn't choose an assignment policy themselves.
-  void apply(dca::DcaConfig& config) const {
-    config.timeseries = timeseries;
-    config.profile = profile;
-    if (config.assignment_spec.empty() && config.assignment == nullptr) {
-      config.assignment_spec = detail::g_policy_spec;
-    }
-  }
-};
-
-/// The telemetry handles of replication `rep` under `plan`.
-[[nodiscard]] inline RepTelemetry rep_telemetry(const exp::RunnerConfig& plan,
-                                                std::uint64_t rep) {
-  RepTelemetry telemetry;
-  if (plan.trace != nullptr) telemetry.trace = &plan.trace->recorder(rep);
-  if (plan.timeseries != nullptr) {
-    telemetry.timeseries = &plan.timeseries->recorder(rep);
-  }
-  telemetry.profile = plan.profile;
-  return telemetry;
-}
-
-/// Merged metrics of `plan.replications` DCA replications that together
-/// simulate `total_tasks` tasks (split as evenly as possible).
-/// `run_rep(rep_tasks, rep_seed, telemetry) -> dca::RunMetrics` must be
-/// pure in its arguments — it is called concurrently from worker threads.
-/// The telemetry carries this replication's private flight-recorder ring
-/// (attach with `simulator.set_recorder(telemetry.trace)`) and health
-/// sampler (wire with `telemetry.apply(config)`).
-template <typename RunRep>
-[[nodiscard]] dca::RunMetrics run_dca_replications(
-    const exp::RunnerConfig& plan, std::uint64_t total_tasks,
-    RunRep&& run_rep) {
-  const exp::RunnerConfig effective = clamp_to_tasks(plan, total_tasks);
-  exp::ParallelRunner runner(effective);
-  return ckpt::run_resumable(
-      runner, [&](std::uint64_t rep, std::uint64_t rep_seed) {
-        return run_rep(
-            exp::partition_size(total_tasks, effective.replications, rep),
-            rep_seed, rep_telemetry(effective, rep));
-      });
-}
-
-/// One replicated DCA data point with a caller-built failure model:
-/// `make_failures(rep_seed)` returns the model by value (each replication
-/// owns its own — failure models hold RNG state and are not shareable
-/// across threads). `base` must not carry a latency model for the same
-/// reason; replications needing one should use run_dca_replications.
-template <typename MakeFailures>
-[[nodiscard]] dca::RunMetrics run_dca_point(
-    const exp::RunnerConfig& plan, const redundancy::StrategyFactory& factory,
-    std::uint64_t total_tasks, const dca::DcaConfig& base,
-    MakeFailures&& make_failures) {
-  return run_dca_replications(
-      plan, total_tasks,
-      [&](std::uint64_t rep_tasks, std::uint64_t rep_seed,
-          const RepTelemetry& telemetry) {
-        sim::Simulator simulator;
-        simulator.set_recorder(telemetry.trace);
-        dca::DcaConfig config = base;
-        config.seed = rep_seed;
-        telemetry.apply(config);
-        const dca::SyntheticWorkload workload(rep_tasks);
-        auto failures = make_failures(rep_seed);
-        dca::TaskServer server(simulator, config, factory, workload,
-                               failures);
-        return dca::RunMetrics(server.run());
-      });
-}
-
-/// The canonical Figure 5(a)/6 setup: constant node reliability `r` under
-/// binary Byzantine collusion.
-[[nodiscard]] inline dca::RunMetrics run_byzantine_dca(
-    const exp::RunnerConfig& plan, const redundancy::StrategyFactory& factory,
-    double reliability, std::uint64_t total_tasks,
-    const dca::DcaConfig& base = {}) {
-  return run_dca_point(plan, factory, total_tasks, base,
-                       [reliability](std::uint64_t rep_seed) {
-                         return fault::ByzantineCollusion(
-                             fault::ReliabilityAssigner(
-                                 fault::ConstantReliability{reliability},
-                                 rng::Stream(rng::derive_seed(rep_seed, 1))));
-                       });
-}
-
-/// Merged Monte-Carlo results of `plan.replications` replications that
-/// together sample `total_tasks` tasks through `factory`'s strategy on
-/// arbitrary vote sources. The source is shared across workers and must be
-/// thread-safe (pure captures; all randomness through the passed stream).
-[[nodiscard]] inline redundancy::MonteCarloResult run_custom_mc(
-    const exp::RunnerConfig& plan, const redundancy::StrategyFactory& factory,
-    const redundancy::VoteSource& source, redundancy::ResultValue correct,
-    std::uint64_t total_tasks, int max_jobs_per_task = 100'000) {
-  const exp::RunnerConfig effective = clamp_to_tasks(plan, total_tasks);
-  exp::ParallelRunner runner(effective);
-  return ckpt::run_resumable(
-      runner, [&](std::uint64_t rep, std::uint64_t rep_seed) {
-        redundancy::MonteCarloConfig config;
-        config.tasks =
-            exp::partition_size(total_tasks, effective.replications, rep);
-        config.seed = rep_seed;
-        config.max_jobs_per_task = max_jobs_per_task;
-        const RepTelemetry telemetry = rep_telemetry(effective, rep);
-        config.recorder = telemetry.trace;
-        config.timeseries = telemetry.timeseries;
-        return run_custom(factory, source, correct, config);
-      });
+/// The straggler stack fig7 and A12 run on top of their heavy-tailed
+/// latency models: started-tasks-first queueing and a 25-unit timeout (the
+/// fallback before adaptive deadlines warm up) and, with `defences`,
+/// adaptive deadlines (the 0.9 quantile × 1.5 after 50 completions), up to
+/// two speculative copies, and quarantine after 3 strikes (backoff 50,
+/// doubling up to 800).
+inline void straggler_stack(dca::DcaConfig& config, bool defences = true) {
+  config.timeout = 25.0;
+  config.queue_policy = dca::QueuePolicy::kStartedTasksFirst;
+  if (!defences) return;
+  config.deadline.adaptive = true;
+  config.deadline.quantile = 0.9;
+  config.deadline.multiplier = 1.5;
+  config.deadline.warmup = 50;
+  config.speculation.enabled = true;
+  config.speculation.max_copies = 2;
+  config.quarantine.enabled = true;
+  config.quarantine.strike_threshold = 3;
+  config.quarantine.backoff_base = 50.0;
+  config.quarantine.backoff_factor = 2.0;
+  config.quarantine.backoff_cap = 800.0;
 }
 
 /// Last shutdown signal delivered to this process (0 when none).
@@ -496,10 +502,9 @@ inline void shutdown_signal_handler(int sig) {
 /// Wraps an experiment main: installs the graceful-shutdown handler, runs
 /// `body()`, and turns an interrupted or unresumable sweep into a clean
 /// nonzero exit. On interruption the stderr report names the exact resume
-/// command. TelemetrySession destructors run during the unwinding, so
-/// --trace/--metrics outputs of completed points are still written. A
-/// mistyped flag or spec prints its message and exits 2; a checkpoint
-/// error exits 1.
+/// command. Sweep destructors run during the unwinding, so --trace/--metrics
+/// outputs of completed points are still written. A mistyped flag or spec
+/// prints its message and exits 2; a checkpoint error exits 1.
 template <typename Body>
 int guarded_main(int argc, char** argv, Body&& body) {
   std::signal(SIGINT, &shutdown_signal_handler);
@@ -533,27 +538,6 @@ int guarded_main(int argc, char** argv, Body&& body) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;
   }
-}
-
-/// run_custom_mc() for the binary worst case at constant reliability.
-[[nodiscard]] inline redundancy::MonteCarloResult run_binary_mc(
-    const exp::RunnerConfig& plan, const redundancy::StrategyFactory& factory,
-    double reliability, std::uint64_t total_tasks,
-    int max_jobs_per_task = 100'000) {
-  const exp::RunnerConfig effective = clamp_to_tasks(plan, total_tasks);
-  exp::ParallelRunner runner(effective);
-  return ckpt::run_resumable(
-      runner, [&](std::uint64_t rep, std::uint64_t rep_seed) {
-        redundancy::MonteCarloConfig config;
-        config.tasks =
-            exp::partition_size(total_tasks, effective.replications, rep);
-        config.seed = rep_seed;
-        config.max_jobs_per_task = max_jobs_per_task;
-        const RepTelemetry telemetry = rep_telemetry(effective, rep);
-        config.recorder = telemetry.trace;
-        config.timeseries = telemetry.timeseries;
-        return run_binary(factory, reliability, config);
-      });
 }
 
 }  // namespace smartred::bench

@@ -22,7 +22,7 @@ WeightedIterative::WeightedIterative(ReliabilityLookup lookup,
       threshold_(threshold) {
   SMARTRED_EXPECT(lookup_ != nullptr, "a reliability lookup is required");
   SMARTRED_EXPECT(typical_reliability > 0.5 && typical_reliability < 1.0,
-                  "typical reliability must be in (0.5, 1)");
+                  "typical reliability r must be in (0.5, 1)");
   SMARTRED_EXPECT(threshold >= 0.5 && threshold < 1.0,
                   "threshold must be in [0.5, 1)");
 }

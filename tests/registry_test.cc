@@ -131,6 +131,14 @@ TEST(RegistryTest, OutOfRangeValuesRaiseSpecErrorForEveryTechnique) {
   }
 }
 
+TEST(RegistryTest, WeightedRangeErrorNamesItsKey) {
+  // The registry passes r as both every node's reliability and the typical
+  // reliability, so the constructor's message names the key r.
+  EXPECT_EQ(error_for("weighted:r=0.4,R=0.9"),
+            "strategy spec 'weighted:r=0.4,R=0.9': typical reliability r "
+            "must be in (0.5, 1)");
+}
+
 TEST(RegistryTest, MisspelledKeysAndTechniquesSuggestCorrections) {
   // Unknown key within edit distance 2 of a valid one gets a suggestion.
   const std::string key_message = error_for("coded:n=6,k=4,gg=2");
